@@ -3,18 +3,23 @@
 Both rates share one quadrature over the initial density matrix,
 
     rate = (cb/hbar) * h^2 sum |rho(Q1,Q2)|^2 (Q1-Q2)^2 g(Qbar)^2
+         = (cb / 2 hbar) * sum w x,
 
 with g = df/dQ for the classical rate and g = [f(Q1)-f(Q2)]/(Q1-Q2) for the
-quantum rate, and cb = thermal_strength(bath).  The ratio quantum/classical
-is therefore independent of hbar and of the bath for a fixed initial matrix;
-it equals 1 exactly for f = a*Q + b*Q**2 where the two weights coincide.
+quantum rate, and cb = thermal_strength(bath).  The rate is the t^2
+coefficient of the linear entropy, so it reads the entropy's support field
+(``strongdec.support_field``): weights w and exponents x = 2 (Q1-Q2)^2 g^2
+on the mirror-paired support of rho.  The ratio quantum/classical is
+therefore independent of hbar and of the bath for a fixed initial matrix;
+it equals 1 exactly for f = a*Q + b*Q**2, where one field serves both sides.
 
-All quadratures reduce with numpy's pairwise summation over fixed-shape
-grids, so results are deterministic for a given grid.
+The field depends only on rho0 and f, so results are deterministic for a
+given grid.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -23,6 +28,7 @@ import numpy as np
 from .bath import BathSpec, thermal_strength
 from .model import CouplingFunction
 from .states import DensityMatrixGrid, SuperpositionState, build_density_matrix
+from .strongdec import quotient_is_slope, support_field
 
 __all__ = [
     "RatePair",
@@ -56,36 +62,32 @@ class RatePair:
         return cls(classical_rate=classical, quantum_rate=quantum, ratio=ratio)
 
 
-def _weighted_integrals(rho0: DensityMatrixGrid, f: CouplingFunction) -> tuple[float, float]:
-    q = rho0.grid.q
-    h = rho0.grid.spacing
-    q1 = q[:, None]
-    q2 = q[None, :]
-    dq = q1 - q2
-    qbar = 0.5 * (q1 + q2)
-    w = np.abs(rho0.values) ** 2 * dq**2
-    slope = f.slope(qbar)
-    fd = f.finite_difference(qbar, dq)
-    i_c = float(h * h * np.sum(w * slope**2))
-    i_q = float(h * h * np.sum(w * fd**2))
-    return i_c, i_q
+def _integral(rho0: DensityMatrixGrid, f: CouplingFunction, side: str) -> float:
+    w, x, _ = support_field(rho0, f, side)
+    return float(np.dot(w, x))
+
+
+def _integrals(rho0: DensityMatrixGrid, f: CouplingFunction) -> tuple[float, float]:
+    i_c = _integral(rho0, f, "classical")
+    return i_c, i_c if quotient_is_slope(f) else _integral(rho0, f, "quantum")
+
+
+def _pair(integrals: tuple[float, float], cb: float, hbar: float) -> RatePair:
+    pref = cb / (2.0 * hbar)
+    return RatePair.from_rates(pref * integrals[0], pref * integrals[1])
 
 
 def classical_rate2(rho0: DensityMatrixGrid, f: CouplingFunction, cb: float, hbar: float) -> float:
-    i_c, _ = _weighted_integrals(rho0, f)
-    return (cb / hbar) * i_c
+    return cb / (2.0 * hbar) * _integral(rho0, f, "classical")
 
 
 def quantum_rate2(rho0: DensityMatrixGrid, f: CouplingFunction, cb: float, hbar: float) -> float:
-    _, i_q = _weighted_integrals(rho0, f)
-    return (cb / hbar) * i_q
+    return cb / (2.0 * hbar) * _integral(rho0, f, "quantum")
 
 
 def rate_pair(rho0: DensityMatrixGrid, f: CouplingFunction, cb: float, hbar: float) -> RatePair:
-    """Both rates from a single pass over the shared grid."""
-    i_c, i_q = _weighted_integrals(rho0, f)
-    pref = cb / hbar
-    return RatePair.from_rates(pref * i_c, pref * i_q)
+    """Both rates, sharing one field when the two weights coincide."""
+    return _pair(_integrals(rho0, f), cb, hbar)
 
 
 def linear_closed_form(delta2q: float, bath: BathSpec) -> float:
@@ -127,11 +129,9 @@ def hbar_scan(
 ) -> list[RatePair]:
     """Rates at rescaled hbar with the initial matrix held fixed.  Each rate
     scales with hbar, the ratio does not."""
-    import dataclasses
-
+    integrals = _integrals(rho0, f)
     out = []
     for factor in hbar_factors:
         scaled = dataclasses.replace(bath, hbar=bath.hbar * float(factor))
-        cb = thermal_strength(scaled)
-        out.append(rate_pair(rho0, f, cb, scaled.hbar))
+        out.append(_pair(integrals, thermal_strength(scaled), scaled.hbar))
     return out
