@@ -67,7 +67,13 @@ def _get(cfg: dict, key: str, path: str, kind, default=None, required=False):
     if kind is float:
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             raise ConfigError(f"{path}.{key}: expected a number, got {val!r}")
-        return float(val)
+        try:
+            num = float(val)
+        except OverflowError:  # an integer beyond the float range
+            num = math.inf
+        if not math.isfinite(num):
+            raise ConfigError(f"{path}.{key}: expected a finite number, got {val!r}")
+        return num
     if kind is int:
         if isinstance(val, bool) or not isinstance(val, int):
             raise ConfigError(f"{path}.{key}: expected an integer, got {val!r}")

@@ -16,8 +16,8 @@ the same position grid with the momentum grid conjugate to the Q1-Q2
 with dQ running over the 2h lattice reachable at fixed on-grid Qbar and
 P on n points spaced pi*hbar/(h*n).  With this pairing the rectangle-rule
 momentum sum inverts the transform exactly, so the roundtrip is the
-identity; the Q1+Q2-odd sublattice is restored by spectral (FFT zero-pad)
-refinement, exact for states resolved by the grid.
+identity; the Q1+Q2-odd sublattice is restored by a spectral half-sample
+shift on the same n x n lattice, exact for states resolved by the grid.
 
 Quadrature is trapezoidal on uniform grids throughout; states are smooth
 and rapidly decaying, so it converges spectrally.
@@ -67,15 +67,9 @@ class GaussianPacket:
 
 @dataclass(frozen=True)
 class SuperpositionState:
-    """Superposition of Gaussian packets.
-
-    ``normalized`` records whether amplitudes have been rescaled to unit norm
-    (builders always renormalize on the grid, so the flag is informational
-    for hand-built states).
-    """
+    """Superposition of Gaussian packets."""
 
     packets: tuple[GaussianPacket, ...]
-    normalized: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "packets", tuple(self.packets))
@@ -281,19 +275,33 @@ def _offdiag_dft(rows: np.ndarray, sign: int) -> np.ndarray:
     return const * (core * tw)
 
 
+def _sublattice(n: int, odd: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices pairing midpoint-lattice cells with matrix cells.
+
+    Lattice cell (i, j), k = j - n//2, holds rho[i+k+odd, i-k]: with odd=0
+    the cell at midpoint i and offset 2k, with odd=1 the cell at midpoint
+    i + 1/2 and offset 2k + 1.  Returns (lattice, matrix) flat indices of
+    the lattice cells whose matrix cell lies inside the grid, row by row;
+    the two sublattices together cover every matrix cell exactly once.
+    """
+    i = np.arange(n)
+    kmin = np.maximum(i - (n - 1), -i - odd)
+    kmax = np.minimum(i, n - 1 - odd - i)
+    counts = np.maximum(kmax - kmin + 1, 0)
+    # position of each listed cell within its lattice row
+    t = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    lattice = np.repeat(i * n + kmin + n // 2, counts) + t
+    cells = np.repeat(i * (n + 1) + kmin * (n - 1) + odd * n, counts) + t * (n - 1)
+    return lattice, cells
+
+
 def _antidiagonals(values: np.ndarray) -> np.ndarray:
     """v[i, j] = rho[i+k, i-k] for k = j - n//2, zero outside the matrix."""
     n = values.shape[0]
-    v = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        k = j - n // 2
-        a = abs(k)
-        if a == 0:
-            v[:, j] = np.diagonal(values)
-        elif a < n - a:
-            ii = np.arange(a, n - a)
-            v[ii, j] = values[ii + k, ii - k]
-    return v
+    lattice, cells = _sublattice(n, 0)
+    v = np.zeros(n * n, dtype=complex)
+    v[lattice] = values.ravel()[cells]
+    return v.reshape(n, n)
 
 
 def wigner_transform(rho: DensityMatrixGrid) -> WignerGrid:
@@ -310,20 +318,10 @@ def wigner_transform(rho: DensityMatrixGrid) -> WignerGrid:
     return WignerGrid(q=rho.grid.q.copy(), p=p, values=w.real, hbar=hbar)
 
 
-def _upsample2(a: np.ndarray) -> np.ndarray:
-    """Spectral 2x refinement; exact at original nodes, trigonometric
-    interpolation at half-step nodes."""
-    n0, n1 = a.shape
-    freq = np.fft.fftshift(np.fft.fft2(a))
-    pad = np.zeros((2 * n0, 2 * n1), dtype=complex)
-    pad[n0 // 2 : n0 // 2 + n0, n1 // 2 : n1 // 2 + n1] = freq
-    return np.fft.ifft2(np.fft.ifftshift(pad)) * 4.0
-
-
 def inverse_wigner(w: WignerGrid) -> DensityMatrixGrid:
     """Rectangle-rule momentum sum of W exp(+i dQ P/hbar); exact inverse of
-    wigner_transform on the even Q1+Q2 sublattice, spectral refinement on
-    the rest."""
+    wigner_transform on the even Q1+Q2 sublattice, spectral half-sample
+    shift on the rest."""
     n = w.q.size
     if w.p.size != n:
         raise ValueError(f"p-grid length {w.p.size} incompatible with q-grid length {n}")
@@ -332,25 +330,22 @@ def inverse_wigner(w: WignerGrid) -> DensityMatrixGrid:
     dp = float(w.p[1] - w.p[0])
     if abs(dp - dp_expect) > 1e-9 * dp_expect:
         raise ValueError("p-grid is not conjugate to the off-diagonal lattice of the q-grid")
-    v = _offdiag_dft(w.values.astype(complex), +1) * (np.pi * w.hbar / (h * n))
+    scale = np.pi * w.hbar / (h * n)
+    v = _offdiag_dft(w.values.astype(complex), +1) * scale
+    # The odd sublattice sits half a step off v in both midpoint and offset:
+    # evaluate the trigonometric interpolant of v there (signed frequencies,
+    # Nyquist bin at -n/2) by a phase ramp on its spectrum.
+    ramp = np.exp(1j * np.pi * np.fft.fftfreq(n))
+    u = np.fft.fft2(v)
+    u *= ramp[:, None]
+    u *= ramp[None, :]
+    u = np.fft.ifft2(u)
 
-    rho = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        kk = j - n // 2
-        a = abs(kk)
-        if a == 0:
-            rho[np.arange(n), np.arange(n)] = v[:, j]
-        elif a < n - a:
-            ii = np.arange(a, n - a)
-            rho[ii + kk, ii - kk] = v[ii, j]
-
-    fine = _upsample2(v)
-    i1 = np.arange(n)[:, None]
-    i2 = np.arange(n)[None, :]
-    odd = ((i1 + i2) % 2).astype(bool)
-    rows = (i1 + i2)[odd]
-    cols = (i1 - i2 + n)[odd]
-    rho[odd] = fine[rows, cols]
+    rho = np.empty(n * n, dtype=complex)
+    for odd, lat in ((0, v), (1, u)):
+        lattice, cells = _sublattice(n, odd)
+        rho[cells] = lat.ravel()[lattice]
+    rho = rho.reshape(n, n)
     # interpolation leaves ~1 ulp Hermitian asymmetry on the odd cells
     rho = 0.5 * (rho + rho.conj().T)
     grid = GridSpec(q_min=float(w.q[0]), q_max=float(w.q[-1]), n_points=n)

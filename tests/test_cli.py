@@ -200,6 +200,26 @@ def test_main_run_and_exit_codes(tmp_path, capsys):
     assert "coverage" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "overrides,field",
+    [
+        ({"state": {"packets": [{"center_q": 0.0, "sigma": float("inf")}]}}, "state.packets[0].sigma"),
+        ({"state": {"packets": [{"center_q": float("nan"), "sigma": 0.5}]}}, "state.packets[0].center_q"),
+        ({"time": {"t_max": 10**400, "n_steps": 20}}, "time.t_max"),
+    ],
+)
+def test_non_finite_numbers_rejected(tmp_path, capsys, overrides, field):
+    # json writes and reads Infinity and NaN; a huge integer overflows float
+    path = tmp_path / "nonfinite.json"
+    path.write_text(json.dumps(small_config(**overrides)))
+    assert main(["validate", str(path)]) == 2
+    assert field in capsys.readouterr().err
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert field in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="finite"):
+        parse_config(json.loads(path.read_text()))
+
+
 def test_presets_command_writes_configs(tmp_path, capsys):
     assert main(["presets", "--write", str(tmp_path)]) == 0
     out = capsys.readouterr().out

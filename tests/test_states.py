@@ -180,3 +180,15 @@ def test_complex_amplitudes_and_momentum():
     assert purity(rho) == pytest.approx(1.0, abs=1e-8)
     back = inverse_wigner(wigner_transform(rho))
     assert np.max(np.abs(back.values - rho.values)) < 1e-10
+
+
+@pytest.mark.parametrize("n", [127, 129, 255])
+def test_wigner_roundtrip_odd_grid(n):
+    # an odd point count has no Nyquist bin and puts n//2 off the lattice centre
+    packets = (
+        GaussianPacket(-2.0, 0.7, 0.5, amplitude=1.0),
+        GaussianPacket(2.0, -0.7, 0.5, amplitude=0.6 + 0.8j),
+    )
+    rho = build_density_matrix(SuperpositionState(packets=packets), grid=GridSpec(-9.0, 9.0, n))
+    back = inverse_wigner(wigner_transform(rho))
+    assert np.max(np.abs(back.values - rho.values)) < 1e-10
