@@ -58,6 +58,18 @@ class Scenario:
     seed: int
 
 
+def _finite(val, name: str) -> float:
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ConfigError(f"{name}: expected a finite number, got {val!r}")
+    try:
+        num = float(val)
+    except OverflowError:  # an integer beyond the float range
+        num = math.inf
+    if not math.isfinite(num):
+        raise ConfigError(f"{name}: expected a finite number, got {val!r}")
+    return num
+
+
 def _get(cfg: dict, key: str, path: str, kind, default=None, required=False):
     if key not in cfg:
         if required:
@@ -65,15 +77,7 @@ def _get(cfg: dict, key: str, path: str, kind, default=None, required=False):
         return default
     val = cfg[key]
     if kind is float:
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise ConfigError(f"{path}.{key}: expected a number, got {val!r}")
-        try:
-            num = float(val)
-        except OverflowError:  # an integer beyond the float range
-            num = math.inf
-        if not math.isfinite(num):
-            raise ConfigError(f"{path}.{key}: expected a finite number, got {val!r}")
-        return num
+        return _finite(val, f"{path}.{key}")
     if kind is int:
         if isinstance(val, bool) or not isinstance(val, int):
             raise ConfigError(f"{path}.{key}: expected an integer, got {val!r}")
@@ -87,6 +91,12 @@ def _get(cfg: dict, key: str, path: str, kind, default=None, required=False):
     return val
 
 
+def _get_numbers(cfg: dict, key: str, path: str) -> list[float]:
+    """The required list cfg[key] of finite numbers; errors name path.key[i]."""
+    vals = _get(cfg, key, path, list, required=True)
+    return [_finite(v, f"{path}.{key}[{i}]") for i, v in enumerate(vals)]
+
+
 def _parse_model(cfg: dict) -> ModelConfig:
     raw = _get(cfg, "model", "config", dict, default={})
     beta = raw.get("beta", None)
@@ -98,7 +108,6 @@ def _parse_model(cfg: dict) -> ModelConfig:
         return ModelConfig(
             hbar=_get(raw, "hbar", "model", float, default=1.0),
             beta=float(beta),
-            system_mass=_get(raw, "system_mass", "model", float, default=1.0),
         )
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
@@ -195,16 +204,11 @@ def _parse_scan(cfg: dict) -> dict | None:
         return None
     raw = _get(cfg, "scan", "config", dict, required=True)
     if "separations" in raw:
-        seps = _get(raw, "separations", "scan", list, required=True)
+        seps = _get_numbers(raw, "separations", "scan")
         sigma = _get(raw, "sigma", "scan", float, required=True)
-        if not all(isinstance(s, (int, float)) and not isinstance(s, bool) for s in seps):
-            raise ConfigError("scan.separations: expected a list of numbers")
-        return {"kind": "separation", "separations": [float(s) for s in seps], "sigma": sigma}
+        return {"kind": "separation", "separations": seps, "sigma": sigma}
     if "hbar_factors" in raw:
-        factors = _get(raw, "hbar_factors", "scan", list, required=True)
-        if not all(isinstance(s, (int, float)) and not isinstance(s, bool) for s in factors):
-            raise ConfigError("scan.hbar_factors: expected a list of numbers")
-        return {"kind": "hbar", "factors": [float(s) for s in factors]}
+        return {"kind": "hbar", "factors": _get_numbers(raw, "hbar_factors", "scan")}
     raise ConfigError("scan: must contain 'separations' (+'sigma') or 'hbar_factors'")
 
 
@@ -215,20 +219,20 @@ def _parse_oracle(cfg: dict) -> dict | None:
     out = {}
     if "mc" in raw:
         mc = _get(raw, "mc", "oracle", dict, required=True)
-        times = _get(mc, "times", "oracle.mc", list, required=True)
+        times = _get_numbers(mc, "times", "oracle.mc")
         n_samples = _get(mc, "n_samples", "oracle.mc", int, default=100_000)
         if n_samples < 1000 or n_samples % 100:
             raise ConfigError(
                 f"oracle.mc.n_samples: must be >= 1000 and a multiple of 100, got {n_samples}"
             )
-        out["mc"] = {"times": [float(t) for t in times], "n_samples": n_samples}
+        out["mc"] = {"times": times, "n_samples": n_samples}
     if "fock" in raw:
         fk = _get(raw, "fock", "oracle", dict, required=True)
-        times = _get(fk, "times", "oracle.fock", list, required=True)
+        times = _get_numbers(fk, "times", "oracle.fock")
         n_levels = _get(fk, "n_levels", "oracle.fock", int, default=64)
         if n_levels < 8:
             raise ConfigError(f"oracle.fock.n_levels: must be >= 8, got {n_levels}")
-        out["fock"] = {"times": [float(t) for t in times], "n_levels": n_levels}
+        out["fock"] = {"times": times, "n_levels": n_levels}
     if not out:
         raise ConfigError("oracle: must contain 'mc' and/or 'fock'")
     return out

@@ -40,21 +40,16 @@ class ModelConfig:
     """Global scales of a run.
 
     beta is the inverse temperature; ``math.inf`` means zero temperature.
-    system_mass and any system potential are accepted for completeness but
-    unused: none of the implemented quantities depend on them.
     """
 
     hbar: float = 1.0
     beta: float = math.inf
-    system_mass: float = 1.0
 
     def __post_init__(self):
         if not self.hbar > 0:
             raise ValueError(f"hbar must be positive, got {self.hbar}")
         if not self.beta > 0:
             raise ValueError(f"beta must be positive (use math.inf for T=0), got {self.beta}")
-        if not self.system_mass > 0:
-            raise ValueError(f"system_mass must be positive, got {self.system_mass}")
 
     @property
     def zero_temperature(self) -> bool:
@@ -76,10 +71,6 @@ class CouplingFunction:
         raise NotImplementedError
 
     def _derivative(self, q: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    @property
-    def is_bounded(self) -> bool:
         raise NotImplementedError
 
     def eval(self, q):
@@ -113,47 +104,6 @@ class CouplingFunction:
 
 
 @dataclass(frozen=True)
-class LinearCoupling(CouplingFunction):
-    """f(Q) = a*Q."""
-
-    a: float = 1.0
-
-    def _values(self, q):
-        return self.a * q
-
-    def _derivative(self, q):
-        return np.full_like(q, self.a)
-
-    @property
-    def is_bounded(self):
-        return self.a == 0.0
-
-    def to_config(self):
-        return {"variant": "linear", "a": self.a}
-
-
-@dataclass(frozen=True)
-class QuadraticCoupling(CouplingFunction):
-    """f(Q) = a*Q + b*Q**2."""
-
-    a: float = 1.0
-    b: float = 0.0
-
-    def _values(self, q):
-        return q * (self.a + self.b * q)
-
-    def _derivative(self, q):
-        return self.a + 2.0 * self.b * q
-
-    @property
-    def is_bounded(self):
-        return self.a == 0.0 and self.b == 0.0
-
-    def to_config(self):
-        return {"variant": "quadratic", "a": self.a, "b": self.b}
-
-
-@dataclass(frozen=True)
 class PolynomialCoupling(CouplingFunction):
     """f(Q) = sum_k c_k Q^k with coefficients in ascending order."""
 
@@ -178,12 +128,22 @@ class PolynomialCoupling(CouplingFunction):
         der = np.polynomial.polynomial.polyder(self.coefficients)
         return np.polynomial.polynomial.polyval(q, der)
 
-    @property
-    def is_bounded(self):
-        return self.degree == 0
-
     def to_config(self):
         return {"variant": "polynomial", "coefficients": list(self.coefficients)}
+
+
+class LinearCoupling(PolynomialCoupling):
+    """f(Q) = a*Q, the polynomial (0, a)."""
+
+    def __init__(self, a: float = 1.0):
+        super().__init__((0.0, a))
+
+
+class QuadraticCoupling(PolynomialCoupling):
+    """f(Q) = a*Q + b*Q**2, the polynomial (0, a, b)."""
+
+    def __init__(self, a: float = 1.0, b: float = 0.0):
+        super().__init__((0.0, a, b))
 
 
 @dataclass(frozen=True)
@@ -204,10 +164,6 @@ class SinusoidalCoupling(CouplingFunction):
     def _derivative(self, q):
         k = 2.0 * np.pi / self.wavelength
         return self.amplitude * k * np.cos(k * q + self.phase)
-
-    @property
-    def is_bounded(self):
-        return True
 
     def to_config(self):
         return {
@@ -262,34 +218,59 @@ class TabulatedCoupling(CouplingFunction):
         self._check_range(q)
         return np.interp(q, self.q_grid, self._slope_table)
 
-    @property
-    def is_bounded(self):
-        return True
-
     def to_config(self):
         return {"variant": "tabulated", "q": list(self.q_grid), "values": list(self.values)}
 
 
+def _finite(value, name: str) -> float:
+    """A config value as a finite float; the ValueError names the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name}: expected a finite number, got {value!r}")
+    try:
+        num = float(value)
+    except OverflowError:  # an integer beyond the float range
+        num = math.inf
+    if not math.isfinite(num):
+        raise ValueError(f"{name}: expected a finite number, got {value!r}")
+    return num
+
+
+def _number(cfg: dict, key: str, default: float | None = None) -> float:
+    """cfg[key] as a finite float; default, if given, stands in for a missing key."""
+    return _finite(cfg[key] if default is None else cfg.get(key, default), f"coupling.{key}")
+
+
+def _numbers(cfg: dict, key: str) -> tuple[float, ...]:
+    values = cfg[key]
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"coupling.{key}: expected a list of finite numbers, got {values!r}")
+    return tuple(_finite(v, f"coupling.{key}[{i}]") for i, v in enumerate(values))
+
+
 def coupling_from_config(cfg: dict) -> CouplingFunction:
-    """Build a coupling function from its JSON configuration."""
+    """Build a coupling function from its JSON configuration.
+
+    ``linear {a}`` and ``quadratic {a, b}`` are spellings of ``polynomial``.
+    Every parameter must be a finite number.
+    """
     if not isinstance(cfg, dict) or "variant" not in cfg:
         raise ValueError("coupling config must be an object with a 'variant' key")
     kind = cfg["variant"]
     try:
         if kind == "linear":
-            return LinearCoupling(a=float(cfg.get("a", 1.0)))
+            return LinearCoupling(a=_number(cfg, "a", 1.0))
         if kind == "quadratic":
-            return QuadraticCoupling(a=float(cfg.get("a", 1.0)), b=float(cfg.get("b", 0.0)))
+            return QuadraticCoupling(a=_number(cfg, "a", 1.0), b=_number(cfg, "b", 0.0))
         if kind == "polynomial":
-            return PolynomialCoupling(coefficients=tuple(cfg["coefficients"]))
+            return PolynomialCoupling(coefficients=_numbers(cfg, "coefficients"))
         if kind == "sinusoidal":
             return SinusoidalCoupling(
-                amplitude=float(cfg.get("amplitude", 1.0)),
-                wavelength=float(cfg["wavelength"]),
-                phase=float(cfg.get("phase", 0.0)),
+                amplitude=_number(cfg, "amplitude", 1.0),
+                wavelength=_number(cfg, "wavelength"),
+                phase=_number(cfg, "phase", 0.0),
             )
         if kind == "tabulated":
-            return TabulatedCoupling(q_grid=tuple(cfg["q"]), values=tuple(cfg["values"]))
+            return TabulatedCoupling(q_grid=_numbers(cfg, "q"), values=_numbers(cfg, "values"))
     except KeyError as exc:
         raise ValueError(f"coupling config for variant '{kind}' is missing {exc}") from exc
     raise ValueError(f"unknown coupling variant '{kind}'")

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import BathSpec, b1, b2, b2_dot
-from .model import CouplingFunction, LinearCoupling, PolynomialCoupling, QuadraticCoupling
+from .model import CouplingFunction, PolynomialCoupling
 from .states import DensityMatrixGrid
 
 __all__ = [
@@ -76,8 +76,6 @@ _DROPPED_MASS = 1e-17
 def quotient_is_slope(f: CouplingFunction) -> bool:
     """True when the difference quotient of f equals f'(Qbar) exactly, which
     holds for polynomials of degree <= 2."""
-    if isinstance(f, (LinearCoupling, QuadraticCoupling)):
-        return True
     return isinstance(f, PolynomialCoupling) and f.degree <= 2
 
 
@@ -89,13 +87,18 @@ def _weight(f: CouplingFunction, qbar, dq, side: str):
     return f.finite_difference(qbar, dq)
 
 
-def _factor_parts(q1: float, q2: float, t, f: CouplingFunction, bath: BathSpec, side: str):
+def _coefficients(q1, q2, f: CouplingFunction, side: str):
+    """(decay, drive) = ((Q1-Q2)^2 g^2, (Q1-Q2) f(Qbar) g), the kernel
+    coefficients of log_modulus = -decay*b2 and phase = drive*b1/hbar."""
     dq = q1 - q2
     qbar = 0.5 * (q1 + q2)
     g = _weight(f, qbar, dq, side)
-    log_mod = -(dq**2) * g**2 * b2(bath, t)
-    phase = dq * f.eval(qbar) * g * b1(bath, t) / bath.hbar
-    return log_mod, phase
+    return dq**2 * g**2, dq * f.eval(qbar) * g
+
+
+def _factor_parts(q1, q2, t, f: CouplingFunction, bath: BathSpec, side: str):
+    decay, drive = _coefficients(q1, q2, f, side)
+    return -decay * b2(bath, t), drive * b1(bath, t) / bath.hbar
 
 
 def classical_factor(q1: float, q2: float, t: float, f: CouplingFunction, bath: BathSpec) -> DecoherenceFactor:
@@ -112,9 +115,8 @@ def quantum_factor(q1: float, q2: float, t: float, f: CouplingFunction, bath: Ba
 
 def gamma(q1: float, q2: float, t, f: CouplingFunction, bath: BathSpec, side: str):
     """d ln|rho(Q1,Q2,t)|/dt from the analytic b2 derivative."""
-    dq = q1 - q2
-    g = _weight(f, 0.5 * (q1 + q2), dq, side)
-    return -(dq**2) * g**2 * b2_dot(bath, t)
+    decay, _ = _coefficients(q1, q2, f, side)
+    return -decay * b2_dot(bath, t)
 
 
 def evolve_matrix(
@@ -126,13 +128,7 @@ def evolve_matrix(
 ) -> DensityMatrixGrid:
     """Apply the decoherence factor pointwise on the grid."""
     q = rho0.grid.q
-    q1 = q[:, None]
-    q2 = q[None, :]
-    dq = q1 - q2
-    qbar = 0.5 * (q1 + q2)
-    g = _weight(f, qbar, dq, side)
-    log_mod = -(dq**2) * g**2 * b2(bath, t)
-    phase = dq * f.eval(qbar) * g * b1(bath, t) / bath.hbar
+    log_mod, phase = _factor_parts(q[:, None], q[None, :], t, f, bath, side)
     values = rho0.values * np.exp(log_mod + 1j * phase)
     return DensityMatrixGrid(grid=rho0.grid, values=values, hbar=rho0.hbar)
 

@@ -206,10 +206,19 @@ def test_main_run_and_exit_codes(tmp_path, capsys):
         ({"state": {"packets": [{"center_q": 0.0, "sigma": float("inf")}]}}, "state.packets[0].sigma"),
         ({"state": {"packets": [{"center_q": float("nan"), "sigma": 0.5}]}}, "state.packets[0].center_q"),
         ({"time": {"t_max": 10**400, "n_steps": 20}}, "time.t_max"),
+        ({"coupling": {"variant": "linear", "a": float("inf")}}, "coupling.a"),
+        ({"coupling": {"variant": "sinusoidal", "wavelength": float("nan")}}, "coupling.wavelength"),
+        ({"coupling": {"variant": "linear", "a": None}}, "coupling.a"),
+        ({"coupling": {"variant": "polynomial", "coefficients": 5}}, "coupling.coefficients"),
+        ({"oracle": {"mc": {"times": ["soon"]}}}, "oracle.mc.times[0]"),
+        ({"oracle": {"fock": {"times": [float("nan")]}}}, "oracle.fock.times[0]"),
+        ({"scan": {"separations": [2, float("inf")], "sigma": 0.5}}, "scan.separations[1]"),
+        ({"scan": {"hbar_factors": [float("nan")]}}, "scan.hbar_factors[0]"),
     ],
 )
 def test_non_finite_numbers_rejected(tmp_path, capsys, overrides, field):
-    # json writes and reads Infinity and NaN; a huge integer overflows float
+    # json writes and reads Infinity and NaN; a huge integer overflows float;
+    # null, a string or a non-list where numbers belong is rejected alike
     path = tmp_path / "nonfinite.json"
     path.write_text(json.dumps(small_config(**overrides)))
     assert main(["validate", str(path)]) == 2

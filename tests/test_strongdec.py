@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from decodyn.bath import BathMode, BathSpec, b2_dot, discretize_ohmic, thermal_strength
 from decodyn.model import LinearCoupling, PolynomialCoupling, QuadraticCoupling, SinusoidalCoupling
@@ -78,6 +80,31 @@ def test_evolve_matrix_identity_and_trace():
     ev = evolve_matrix(rho, 1.7, QuadraticCoupling(1.0, 0.3), OHMIC, "classical")
     np.testing.assert_array_equal(np.diagonal(ev.values), np.diagonal(rho.values))
     assert ev.trace() == pytest.approx(rho.trace(), abs=1e-14)
+
+
+COEFFICIENT = st.floats(-10.0, 10.0)
+DEGREE_TWO = st.one_of(
+    st.builds(LinearCoupling, COEFFICIENT),
+    st.builds(QuadraticCoupling, COEFFICIENT, COEFFICIENT),
+    # trailing zeros keep the degree at 2 or below
+    st.builds(
+        lambda c, zeros: PolynomialCoupling(tuple(c) + (0.0,) * zeros),
+        st.lists(COEFFICIENT, min_size=1, max_size=3),
+        st.integers(0, 2),
+    ),
+)
+
+
+@given(
+    f=DEGREE_TWO,
+    q1=st.floats(-10.0, 10.0),
+    q2=st.floats(-10.0, 10.0),
+    t=st.floats(0.0, 20.0),
+    bath=st.sampled_from([SINGLE, OHMIC]),
+)
+def test_classical_equals_quantum_for_degree_two(f, q1, q2, t, bath):
+    assert classical_factor(q1, q2, t, f, bath) == quantum_factor(q1, q2, t, f, bath)
+    assert gamma(q1, q2, t, f, bath, "classical") == gamma(q1, q2, t, f, bath, "quantum")
 
 
 def test_evolve_matrix_sides_agree_for_quadratic():
