@@ -29,13 +29,11 @@ import numpy as np
 __all__ = [
     "BathMode",
     "BathSpec",
-    "BathPhasePoint",
     "discretize_ohmic",
     "thermal_strength",
     "b1",
     "b2",
     "b2_dot",
-    "sample_thermal",
     "thermal_sample_block",
 ]
 
@@ -101,22 +99,6 @@ class BathSpec:
             return np.ones(self.n_modes)
         x = 0.5 * self.beta * self.hbar * self.omegas
         return 1.0 / np.tanh(x)
-
-
-@dataclass(frozen=True)
-class BathPhasePoint:
-    """One draw of all bath coordinates and momenta."""
-
-    q: np.ndarray
-    p: np.ndarray
-
-    def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        p = np.asarray(self.p, dtype=float)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", p)
-        if q.shape != p.shape:
-            raise ValueError("q and p must have matching lengths")
 
 
 def discretize_ohmic(
@@ -239,8 +221,3 @@ def thermal_sample_block(bath: BathSpec, seed: int, start: int, count: int):
         p[out] = z[rows, n:] * p_std
     return q, p
 
-
-def sample_thermal(bath: BathSpec, rng_seed: int, index: int = 0) -> BathPhasePoint:
-    """Single thermal draw; deterministic in (rng_seed, index)."""
-    q, p = thermal_sample_block(bath, rng_seed, index, 1)
-    return BathPhasePoint(q=q[0], p=p[0])

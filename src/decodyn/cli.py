@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .bath import BathMode, BathSpec, discretize_ohmic, thermal_strength
-from .model import CouplingFunction, ModelConfig, coupling_from_config
+from .model import CouplingFunction, ModelConfig, _finite, coupling_from_config
 from .oracle import FockConfig, fock_quantum_factor, mc_classical_factor
 from .rates import hbar_scan, separation_scan
 from .states import (
@@ -58,16 +58,12 @@ class Scenario:
     seed: int
 
 
-def _finite(val, name: str) -> float:
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{name}: expected a finite number, got {val!r}")
+def _config_float(val, name: str) -> float:
+    """model._finite, its ValueError raised as a ConfigError."""
     try:
-        num = float(val)
-    except OverflowError:  # an integer beyond the float range
-        num = math.inf
-    if not math.isfinite(num):
-        raise ConfigError(f"{name}: expected a finite number, got {val!r}")
-    return num
+        return _finite(val, name)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _get(cfg: dict, key: str, path: str, kind, default=None, required=False):
@@ -77,7 +73,7 @@ def _get(cfg: dict, key: str, path: str, kind, default=None, required=False):
         return default
     val = cfg[key]
     if kind is float:
-        return _finite(val, f"{path}.{key}")
+        return _config_float(val, f"{path}.{key}")
     if kind is int:
         if isinstance(val, bool) or not isinstance(val, int):
             raise ConfigError(f"{path}.{key}: expected an integer, got {val!r}")
@@ -94,21 +90,22 @@ def _get(cfg: dict, key: str, path: str, kind, default=None, required=False):
 def _get_numbers(cfg: dict, key: str, path: str) -> list[float]:
     """The required list cfg[key] of finite numbers; errors name path.key[i]."""
     vals = _get(cfg, key, path, list, required=True)
-    return [_finite(v, f"{path}.{key}[{i}]") for i, v in enumerate(vals)]
+    return [_config_float(v, f"{path}.{key}[{i}]") for i, v in enumerate(vals)]
+
+
+def _get_or_inf(cfg: dict, key: str, path: str) -> float:
+    """cfg[key] as a finite number; missing, null or "inf" spell infinity."""
+    if cfg.get(key) in (None, "inf"):
+        return math.inf
+    return _get(cfg, key, path, float)
 
 
 def _parse_model(cfg: dict) -> ModelConfig:
     raw = _get(cfg, "model", "config", dict, default={})
-    beta = raw.get("beta", None)
-    if beta is None or beta == "inf":
-        beta = math.inf
-    elif isinstance(beta, bool) or not isinstance(beta, (int, float)):
-        raise ConfigError(f"model.beta: expected a number or null, got {beta!r}")
+    hbar = _get(raw, "hbar", "model", float, default=1.0)
+    beta = _get_or_inf(raw, "beta", "model")
     try:
-        return ModelConfig(
-            hbar=_get(raw, "hbar", "model", float, default=1.0),
-            beta=float(beta),
-        )
+        return ModelConfig(hbar=hbar, beta=beta)
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
 
@@ -118,12 +115,9 @@ def _parse_bath(cfg: dict, model: ModelConfig) -> BathSpec:
     try:
         if "ohmic" in raw:
             o = _get(raw, "ohmic", "bath", dict, required=True)
-            cutoff = o.get("omega_c", math.inf)
-            if cutoff is None or cutoff == "inf":
-                cutoff = math.inf
             return discretize_ohmic(
                 eta=_get(o, "eta", "bath.ohmic", float, required=True),
-                omega_cutoff=float(cutoff),
+                omega_cutoff=_get_or_inf(o, "omega_c", "bath.ohmic"),
                 n_modes=_get(o, "n_modes", "bath.ohmic", int, required=True),
                 omega_max=_get(o, "omega_max", "bath.ohmic", float, required=True),
                 beta=model.beta,
@@ -358,7 +352,7 @@ def run_scenario(source, out_dir=".", seed: int | None = None) -> dict:
     if isinstance(source, dict):
         cfg = source
     else:
-        text = Path(source).read_text() if Path(str(source)).exists() else None
+        text = Path(source).read_text() if Path(source).is_file() else None
         if text is None:
             if str(source) in PRESETS:
                 cfg = preset_config(str(source))

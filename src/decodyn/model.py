@@ -51,10 +51,6 @@ class ModelConfig:
         if not self.beta > 0:
             raise ValueError(f"beta must be positive (use math.inf for T=0), got {self.beta}")
 
-    @property
-    def zero_temperature(self) -> bool:
-        return math.isinf(self.beta)
-
 
 def _wrap(values: np.ndarray, scalar: bool):
     return float(values) if scalar else values
@@ -99,9 +95,6 @@ class CouplingFunction:
         out = np.where(d == 0.0, self._derivative(qb), out)
         return _wrap(out, scalar)
 
-    def to_config(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class PolynomialCoupling(CouplingFunction):
@@ -127,9 +120,6 @@ class PolynomialCoupling(CouplingFunction):
     def _derivative(self, q):
         der = np.polynomial.polynomial.polyder(self.coefficients)
         return np.polynomial.polynomial.polyval(q, der)
-
-    def to_config(self):
-        return {"variant": "polynomial", "coefficients": list(self.coefficients)}
 
 
 class LinearCoupling(PolynomialCoupling):
@@ -164,14 +154,6 @@ class SinusoidalCoupling(CouplingFunction):
     def _derivative(self, q):
         k = 2.0 * np.pi / self.wavelength
         return self.amplitude * k * np.cos(k * q + self.phase)
-
-    def to_config(self):
-        return {
-            "variant": "sinusoidal",
-            "amplitude": self.amplitude,
-            "wavelength": self.wavelength,
-            "phase": self.phase,
-        }
 
 
 @dataclass(frozen=True)
@@ -217,9 +199,6 @@ class TabulatedCoupling(CouplingFunction):
     def _derivative(self, q):
         self._check_range(q)
         return np.interp(q, self.q_grid, self._slope_table)
-
-    def to_config(self):
-        return {"variant": "tabulated", "q": list(self.q_grid), "values": list(self.values)}
 
 
 def _finite(value, name: str) -> float:

@@ -119,12 +119,10 @@ def mc_classical_factor(
 
 @dataclass(frozen=True)
 class FockConfig:
-    """Truncated number-basis settings; time_step/t_max are optional hints
-    used by the scenario runner to lay out its comparison times."""
+    """Truncated number-basis setting: the oracle compares n_levels against
+    2*n_levels levels."""
 
     n_levels: int = 64
-    time_step: float | None = None
-    t_max: float | None = None
 
     def __post_init__(self):
         if self.n_levels < 8:

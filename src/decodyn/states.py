@@ -105,6 +105,14 @@ class SuperpositionState:
         return out
 
 
+# Every packet center +- _COVER_SIGMAS widths must lie on the grid.  The auto
+# grid pads by _PAD_SIGMAS widths, which puts psi at the edge below 1e-15 of
+# its peak, as the spectral steps of the phase-space transforms need.
+_COVER_SIGMAS = 8.0
+_PAD_SIGMAS = 12.0
+_POINTS_PER_SIGMA = 8
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform position grid."""
@@ -128,15 +136,13 @@ class GridSpec:
         return np.linspace(self.q_min, self.q_max, self.n_points)
 
     @classmethod
-    def cover(cls, state: SuperpositionState, pad_sigmas: float = 12.0, points_per_sigma: int = 8):
-        """Auto-sized grid: all packet centers +- pad_sigmas widths, spacing
-        at most sigma_min/points_per_sigma, n_points rounded up to a power
-        of two.  The default padding puts psi at the edge below 1e-15 of its
-        peak, which the spectral steps of the phase-space transforms need;
-        the hard coverage requirement is only 8 sigma."""
-        lo = min(pk.center_q - pad_sigmas * pk.sigma for pk in state.packets)
-        hi = max(pk.center_q + pad_sigmas * pk.sigma for pk in state.packets)
-        h_target = min(pk.sigma for pk in state.packets) / points_per_sigma
+    def cover(cls, state: SuperpositionState):
+        """Auto-sized grid: all packet centers +- _PAD_SIGMAS widths, spacing
+        at most sigma_min/_POINTS_PER_SIGMA, n_points rounded up to a power
+        of two."""
+        lo = min(pk.center_q - _PAD_SIGMAS * pk.sigma for pk in state.packets)
+        hi = max(pk.center_q + _PAD_SIGMAS * pk.sigma for pk in state.packets)
+        h_target = min(pk.sigma for pk in state.packets) / _POINTS_PER_SIGMA
         n = int(2 ** np.ceil(np.log2((hi - lo) / h_target + 1)))
         return cls(q_min=lo, q_max=hi, n_points=max(n, 16))
 
@@ -180,12 +186,6 @@ class DensityMatrixGrid:
     def trace(self) -> float:
         return float(np.sum(np.diagonal(self.values).real)) * self.grid.spacing
 
-    def purity(self) -> float:
-        return purity(self)
-
-    def position_variance(self) -> float:
-        return position_variance(self)
-
 
 @dataclass(frozen=True)
 class WignerGrid:
@@ -224,8 +224,8 @@ def build_density_matrix(
     """
     if grid is None:
         grid = GridSpec.cover(state)
-    lo = min(pk.center_q - 8.0 * pk.sigma for pk in state.packets)
-    hi = max(pk.center_q + 8.0 * pk.sigma for pk in state.packets)
+    lo = min(pk.center_q - _COVER_SIGMAS * pk.sigma for pk in state.packets)
+    hi = max(pk.center_q + _COVER_SIGMAS * pk.sigma for pk in state.packets)
     if grid.q_min > lo or grid.q_max < hi:
         raise GridCoverageError(
             f"grid [{grid.q_min}, {grid.q_max}] does not cover required [{lo}, {hi}]"

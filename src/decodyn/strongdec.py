@@ -49,7 +49,6 @@ __all__ = [
     "classical_factor",
     "quantum_factor",
     "gamma",
-    "evolve_matrix",
     "entropy_classical",
     "entropy_quantum",
     "entropy_series",
@@ -117,20 +116,6 @@ def gamma(q1: float, q2: float, t, f: CouplingFunction, bath: BathSpec, side: st
     """d ln|rho(Q1,Q2,t)|/dt from the analytic b2 derivative."""
     decay, _ = _coefficients(q1, q2, f, side)
     return -decay * b2_dot(bath, t)
-
-
-def evolve_matrix(
-    rho0: DensityMatrixGrid,
-    t: float,
-    f: CouplingFunction,
-    bath: BathSpec,
-    side: str,
-) -> DensityMatrixGrid:
-    """Apply the decoherence factor pointwise on the grid."""
-    q = rho0.grid.q
-    log_mod, phase = _factor_parts(q[:, None], q[None, :], t, f, bath, side)
-    values = rho0.values * np.exp(log_mod + 1j * phase)
-    return DensityMatrixGrid(grid=rho0.grid, values=values, hbar=rho0.hbar)
 
 
 def support_field(rho0: DensityMatrixGrid, f: CouplingFunction, side: str):

@@ -5,13 +5,11 @@ import pytest
 
 from decodyn.bath import (
     BathMode,
-    BathPhasePoint,
     BathSpec,
     b1,
     b2,
     b2_dot,
     discretize_ohmic,
-    sample_thermal,
     thermal_sample_block,
     thermal_strength,
 )
@@ -30,8 +28,6 @@ def test_spec_validation():
         BathMode(1.0, -1.0, 1.0)
     with pytest.raises(ValueError):
         single_mode(beta=0.0)
-    with pytest.raises(ValueError):
-        BathPhasePoint(q=np.zeros(3), p=np.zeros(2))
 
 
 def test_thermal_strength_zero_temperature():
@@ -174,12 +170,3 @@ def test_sampling_reproducible_and_partition_invariant():
     qc, _ = thermal_sample_block(bath, seed=9, start=4095, count=10)
     np.testing.assert_array_equal(qc, q1[4095:4105])
 
-
-def test_sample_thermal_single_draw():
-    bath = discretize_ohmic(0.5, 1.0, 5, 3.0)
-    point = sample_thermal(bath, rng_seed=4, index=123)
-    assert point.q.shape == (5,)
-    assert point.p.shape == (5,)
-    block_q, block_p = thermal_sample_block(bath, seed=4, start=123, count=1)
-    np.testing.assert_array_equal(point.q, block_q[0])
-    np.testing.assert_array_equal(point.p, block_p[0])

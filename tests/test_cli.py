@@ -1,9 +1,11 @@
 import json
+import math
 import time
 
 import numpy as np
 import pytest
 
+from decodyn.bath import discretize_ohmic
 from decodyn.cli import ConfigError, list_presets, main, parse_config, preset_config, run_scenario
 
 REQUIRED_PRESETS = {
@@ -23,6 +25,9 @@ def read_csv(path):
     header = lines[0].split(",")
     rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
     return header, rows
+
+
+OHMIC = {"eta": 0.25, "omega_c": 1.0, "n_modes": 8, "omega_max": 5.0}
 
 
 def small_config(**overrides):
@@ -214,6 +219,10 @@ def test_main_run_and_exit_codes(tmp_path, capsys):
         ({"oracle": {"fock": {"times": [float("nan")]}}}, "oracle.fock.times[0]"),
         ({"scan": {"separations": [2, float("inf")], "sigma": 0.5}}, "scan.separations[1]"),
         ({"scan": {"hbar_factors": [float("nan")]}}, "scan.hbar_factors[0]"),
+        ({"bath": {"ohmic": dict(OHMIC, omega_c=[1])}}, "bath.ohmic.omega_c"),
+        ({"bath": {"ohmic": dict(OHMIC, omega_c="fast")}}, "bath.ohmic.omega_c"),
+        ({"bath": {"ohmic": dict(OHMIC, omega_c=True)}}, "bath.ohmic.omega_c"),
+        ({"model": {"beta": float("inf")}}, "model.beta"),
     ],
 )
 def test_non_finite_numbers_rejected(tmp_path, capsys, overrides, field):
@@ -227,6 +236,24 @@ def test_non_finite_numbers_rejected(tmp_path, capsys, overrides, field):
     assert field in capsys.readouterr().err
     with pytest.raises(ConfigError, match="finite"):
         parse_config(json.loads(path.read_text()))
+
+
+@pytest.mark.parametrize("spelling", [None, "inf"])
+def test_infinity_spellings(spelling):
+    # null and "inf" mean infinity, for model.beta and bath.ohmic.omega_c alike
+    cfg = small_config(model={"beta": spelling}, bath={"ohmic": dict(OHMIC, omega_c=spelling)})
+    scn = parse_config(cfg)
+    assert scn.model.beta == math.inf
+    assert scn.bath == discretize_ohmic(0.25, math.inf, 8, 5.0)
+
+
+def test_preset_name_shadowed_by_directory(tmp_path, monkeypatch):
+    # a directory named like a preset, such as the output of an earlier
+    # `run linear --out linear`, is not a config file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "linear").mkdir()
+    assert main(["run", "linear", "--out", "linear"]) == 0
+    assert (tmp_path / "linear" / "linear_series.csv").is_file()
 
 
 def test_presets_command_writes_configs(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,9 +17,7 @@ from decodyn.model import (
 
 
 def test_model_config_validation():
-    cfg = ModelConfig()
-    assert cfg.zero_temperature
-    assert not ModelConfig(beta=2.0).zero_temperature
+    assert math.isinf(ModelConfig().beta)  # zero temperature by default
     with pytest.raises(ValueError):
         ModelConfig(hbar=0.0)
     with pytest.raises(ValueError):
@@ -118,7 +118,6 @@ def test_linear_and_quadratic_are_polynomials(a, b, q, dq):
     assert g.eval(q) == quad(q)
     assert g.slope(q) == quad_slope(q)
     assert g.finite_difference(q, dq) == _closed_quotient(quad, quad_slope, q, dq)
-    assert f.to_config() == {"variant": "polynomial", "coefficients": [0.0, a]}
     assert coupling_from_config({"variant": "linear", "a": a}) == f
     assert coupling_from_config({"variant": "quadratic", "a": a, "b": b}) == g
     assert isinstance(f, PolynomialCoupling) and isinstance(g, PolynomialCoupling)
@@ -159,20 +158,26 @@ def test_sinusoidal_requires_nonzero_wavelength():
         SinusoidalCoupling(1.0, 0.0)
 
 
-@pytest.mark.parametrize(
-    "f",
-    [
-        LinearCoupling(2.0),
-        QuadraticCoupling(1.0, 0.3),
-        PolynomialCoupling((0.0, 1.0, 0.0, -2.0)),
+CONFIG_CASES = [
+    ({"variant": "linear", "a": 2.0}, LinearCoupling(2.0)),
+    ({"variant": "quadratic", "a": 1.0, "b": 0.3}, QuadraticCoupling(1.0, 0.3)),
+    ({"variant": "polynomial", "coefficients": [0, 1, 0, -2]}, PolynomialCoupling((0.0, 1.0, 0.0, -2.0))),
+    (
+        {"variant": "sinusoidal", "amplitude": 1.5, "wavelength": 4.0, "phase": 0.25},
         SinusoidalCoupling(1.5, 4.0, 0.25),
+    ),
+    (
+        {"variant": "tabulated", "q": [0, 1, 2, 3, 4], "values": [0, 1, 0, -1, 0]},
         TabulatedCoupling((0, 1, 2, 3, 4), (0, 1, 0, -1, 0)),
-    ],
-)
-def test_config_roundtrip(f):
-    clone = coupling_from_config(f.to_config())
+    ),
+]
+
+
+@pytest.mark.parametrize("cfg,f", CONFIG_CASES, ids=[f"f{i}" for i in range(len(CONFIG_CASES))])
+def test_config_roundtrip(cfg, f):
+    parsed = coupling_from_config(cfg)
     q = np.linspace(0.5, 3.5, 11)
-    np.testing.assert_allclose(clone.eval(q), f.eval(q), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(parsed.eval(q), f.eval(q), rtol=0, atol=1e-14)
 
 
 def test_config_errors():

@@ -6,7 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from decodyn.bath import BathMode, BathSpec, b2_dot, discretize_ohmic, thermal_strength
-from decodyn.model import LinearCoupling, PolynomialCoupling, QuadraticCoupling, SinusoidalCoupling
+from decodyn.model import (
+    LinearCoupling,
+    PolynomialCoupling,
+    QuadraticCoupling,
+    SinusoidalCoupling,
+    TabulatedCoupling,
+)
 from decodyn.oracle import short_time_fit
 from decodyn.rates import classical_rate2, quantum_rate2
 from decodyn.states import SuperpositionState, build_density_matrix
@@ -16,7 +22,6 @@ from decodyn.strongdec import (
     entropy_classical,
     entropy_quantum,
     entropy_series,
-    evolve_matrix,
     gamma,
     quantum_factor,
 )
@@ -73,16 +78,31 @@ def test_factor_hermitian_symmetry():
     assert a.phase == -b.phase
 
 
-def test_evolve_matrix_identity_and_trace():
-    rho = build_density_matrix(SuperpositionState.symmetric_cat(6.0, 0.4))
-    ev0 = evolve_matrix(rho, 0.0, CUBIC, SINGLE, "quantum")
-    np.testing.assert_array_equal(ev0.values, rho.values)
-    ev = evolve_matrix(rho, 1.7, QuadraticCoupling(1.0, 0.3), OHMIC, "classical")
-    np.testing.assert_array_equal(np.diagonal(ev.values), np.diagonal(rho.values))
-    assert ev.trace() == pytest.approx(rho.trace(), abs=1e-14)
-
-
 COEFFICIENT = st.floats(-10.0, 10.0)
+ANY_COUPLING = st.one_of(
+    st.builds(lambda c: PolynomialCoupling(tuple(c)), st.lists(COEFFICIENT, min_size=1, max_size=6)),
+    st.builds(SinusoidalCoupling, COEFFICIENT, st.floats(0.1, 10.0), st.floats(-math.pi, math.pi)),
+    st.builds(
+        lambda v: TabulatedCoupling(tuple(np.linspace(-10.0, 10.0, len(v))), tuple(v)),
+        st.lists(COEFFICIENT, min_size=4, max_size=12),
+    ),
+)
+
+
+@given(
+    f=ANY_COUPLING,
+    q=st.floats(-10.0, 10.0),
+    t=st.floats(0.0, 1e300),
+    bath=st.sampled_from([SINGLE, OHMIC]),
+)
+def test_diagonal_is_untouched(f, q, t, bath):
+    # the weight carries (Q1-Q2)^2, so the diagonal keeps its t = 0 value on
+    # both sides and the trace is conserved exactly
+    for side, factor in (("classical", classical_factor), ("quantum", quantum_factor)):
+        fac = factor(q, q, t, f, bath)
+        assert fac.log_modulus == 0.0
+        assert fac.phase == 0.0
+        assert gamma(q, q, t, f, bath, side) == 0.0
 DEGREE_TWO = st.one_of(
     st.builds(LinearCoupling, COEFFICIENT),
     st.builds(QuadraticCoupling, COEFFICIENT, COEFFICIENT),
@@ -105,14 +125,6 @@ DEGREE_TWO = st.one_of(
 def test_classical_equals_quantum_for_degree_two(f, q1, q2, t, bath):
     assert classical_factor(q1, q2, t, f, bath) == quantum_factor(q1, q2, t, f, bath)
     assert gamma(q1, q2, t, f, bath, "classical") == gamma(q1, q2, t, f, bath, "quantum")
-
-
-def test_evolve_matrix_sides_agree_for_quadratic():
-    rho = build_density_matrix(SuperpositionState.symmetric_cat(6.0, 0.4))
-    f = QuadraticCoupling(1.0, 0.3)
-    evc = evolve_matrix(rho, 2.4, f, OHMIC, "classical")
-    evq = evolve_matrix(rho, 2.4, f, OHMIC, "quantum")
-    assert np.max(np.abs(evc.values - evq.values)) < 1e-12
 
 
 def test_entropy_zero_at_t0_and_recurrence():
