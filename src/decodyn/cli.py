@@ -58,6 +58,13 @@ class Scenario:
     seed: int
 
 
+# Sizes read from a config are capped before anything is allocated: the
+# kernels b1, b2 and b2_dot each build an n_steps x n_modes array.
+_MAX_TIME_STEPS = 100_000
+_MAX_BATH_MODES = 100_000
+_MAX_KERNEL_CELLS = 10_000_000
+
+
 def _config_float(val, name: str) -> float:
     """model._finite, its ValueError raised as a ConfigError."""
     try:
@@ -115,14 +122,16 @@ def _parse_bath(cfg: dict, model: ModelConfig) -> BathSpec:
     try:
         if "ohmic" in raw:
             o = _get(raw, "ohmic", "bath", dict, required=True)
-            return discretize_ohmic(
-                eta=_get(o, "eta", "bath.ohmic", float, required=True),
-                omega_cutoff=_get_or_inf(o, "omega_c", "bath.ohmic"),
-                n_modes=_get(o, "n_modes", "bath.ohmic", int, required=True),
-                omega_max=_get(o, "omega_max", "bath.ohmic", float, required=True),
-                beta=model.beta,
-                hbar=model.hbar,
-            )
+            eta = _get(o, "eta", "bath.ohmic", float, required=True)
+            omega_c = _get_or_inf(o, "omega_c", "bath.ohmic")
+            omega_max = _get(o, "omega_max", "bath.ohmic", float, required=True)
+            for key, val in (("eta", eta), ("omega_c", omega_c), ("omega_max", omega_max)):
+                if not val > 0:
+                    raise ConfigError(f"bath.ohmic.{key}: must be positive, got {val}")
+            n_modes = _get(o, "n_modes", "bath.ohmic", int, required=True)
+            if not 1 <= n_modes <= _MAX_BATH_MODES:
+                raise ConfigError(f"bath.ohmic.n_modes: must be in [1, {_MAX_BATH_MODES}], got {n_modes}")
+            return discretize_ohmic(eta, omega_c, n_modes, omega_max, beta=model.beta, hbar=model.hbar)
         if "modes" in raw:
             entries = _get(raw, "modes", "bath", list, required=True)
             modes = []
@@ -166,6 +175,8 @@ def _parse_state(cfg: dict) -> tuple[SuperpositionState, GridSpec | None]:
                     ),
                 )
             )
+        except ConfigError:
+            raise
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
     grid = None
@@ -177,19 +188,23 @@ def _parse_state(cfg: dict) -> tuple[SuperpositionState, GridSpec | None]:
                 q_max=_get(g, "q_max", "state.grid", float, required=True),
                 n_points=_get(g, "n_points", "state.grid", int, required=True),
             )
+        except ConfigError:
+            raise
         except ValueError as exc:
             raise ConfigError(f"state.grid: {exc}") from exc
     return SuperpositionState(packets=tuple(packets)), grid
 
 
-def _parse_times(cfg: dict) -> np.ndarray:
+def _parse_times(cfg: dict, n_modes: int) -> np.ndarray:
     raw = _get(cfg, "time", "config", dict, required=True)
     t_max = _get(raw, "t_max", "time", float, required=True)
     n_steps = _get(raw, "n_steps", "time", int, required=True)
     if t_max <= 0:
         raise ConfigError(f"time.t_max: must be positive, got {t_max}")
-    if n_steps < 2:
-        raise ConfigError(f"time.n_steps: must be >= 2, got {n_steps}")
+    if not 2 <= n_steps <= _MAX_TIME_STEPS:
+        raise ConfigError(f"time.n_steps: must be in [2, {_MAX_TIME_STEPS}], got {n_steps}")
+    if n_steps * n_modes > _MAX_KERNEL_CELLS:
+        raise ConfigError(f"time.n_steps: {n_steps} x {n_modes} bath modes exceeds {_MAX_KERNEL_CELLS} cells")
     return np.linspace(0.0, t_max, n_steps)
 
 
@@ -246,7 +261,7 @@ def parse_config(cfg: dict) -> Scenario:
     except ValueError as exc:
         raise ConfigError(f"coupling: {exc}") from exc
     state, grid = _parse_state(cfg)
-    times = _parse_times(cfg)
+    times = _parse_times(cfg, bath.n_modes)
     probe = None
     if "probe" in cfg:
         p = _get(cfg, "probe", "config", dict, required=True)

@@ -17,7 +17,8 @@ with dQ running over the 2h lattice reachable at fixed on-grid Qbar and
 P on n points spaced pi*hbar/(h*n).  With this pairing the rectangle-rule
 momentum sum inverts the transform exactly, so the roundtrip is the
 identity; the Q1+Q2-odd sublattice is restored by a spectral half-sample
-shift on the same n x n lattice, exact for states resolved by the grid.
+shift, exact for states resolved by the grid.  rho is Hermitian and W real,
+so both transforms work on the Q1 >= Q2 half alone.
 
 Quadrature is trapezoidal on uniform grids throughout; states are smooth
 and rapidly decaying, so it converges spectrally.
@@ -254,74 +255,48 @@ def position_variance(rho: DensityMatrixGrid) -> float:
     return float(np.trapezoid(d * (q - mean) ** 2, q) / norm)
 
 
-def _conjugate_momenta(n: int, h: float, hbar: float) -> np.ndarray:
-    dp = np.pi * hbar / (h * n)
-    return (np.arange(n) - n // 2) * dp
+def _half_lattice(n: int, odd: int, strides: tuple[int, int]):
+    """Flat indices pairing the i1 >= i2 half of one sublattice with rho.
 
-
-def _offdiag_dft(rows: np.ndarray, sign: int) -> np.ndarray:
-    """out[.., l] = sum_j rows[.., j] exp(sign 2j pi (j-c)(l-c)/n), c = n//2.
-
-    The centered DFT both transforms use, reduced to an FFT with twiddle
-    factors; sign=-1 and sign=+1 compose to n * identity exactly.
+    Lattice cell (i, k), k >= 0, holds rho[i+k+odd, i-k]: the cell at
+    midpoint i + odd/2 and offset 2k + odd.  Returns, column by column, the
+    lattice indices i*strides[0] + k*strides[1] of the cells inside the
+    grid, their matrix indices and those of their mirrors rho[i-k, i+k+odd].
     """
-    n = rows.shape[-1]
-    c = n // 2
-    idx = np.arange(n)
-    tw = np.exp(-sign * 2j * np.pi * c * idx / n)
-    const = np.exp(sign * 2j * np.pi * c * c / n)
-    x = rows * tw
-    core = np.fft.fft(x, axis=-1) if sign < 0 else np.fft.ifft(x, axis=-1) * n
-    return const * (core * tw)
-
-
-def _sublattice(n: int, odd: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices pairing midpoint-lattice cells with matrix cells.
-
-    Lattice cell (i, j), k = j - n//2, holds rho[i+k+odd, i-k]: with odd=0
-    the cell at midpoint i and offset 2k, with odd=1 the cell at midpoint
-    i + 1/2 and offset 2k + 1.  Returns (lattice, matrix) flat indices of
-    the lattice cells whose matrix cell lies inside the grid, row by row;
-    the two sublattices together cover every matrix cell exactly once.
-    """
-    i = np.arange(n)
-    kmin = np.maximum(i - (n - 1), -i - odd)
-    kmax = np.minimum(i, n - 1 - odd - i)
-    counts = np.maximum(kmax - kmin + 1, 0)
-    # position of each listed cell within its lattice row
-    t = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    lattice = np.repeat(i * n + kmin + n // 2, counts) + t
-    cells = np.repeat(i * (n + 1) + kmin * (n - 1) + odd * n, counts) + t * (n - 1)
-    return lattice, cells
-
-
-def _antidiagonals(values: np.ndarray) -> np.ndarray:
-    """v[i, j] = rho[i+k, i-k] for k = j - n//2, zero outside the matrix."""
-    n = values.shape[0]
-    lattice, cells = _sublattice(n, 0)
-    v = np.zeros(n * n, dtype=complex)
-    v[lattice] = values.ravel()[cells]
-    return v.reshape(n, n)
+    k = np.arange((n + 1 - odd) // 2)
+    counts = n - odd - 2 * k
+    i = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    k = np.repeat(k, counts)
+    i += k
+    lattice = i * strides[0] + k * strides[1]
+    return lattice, i * (n + 1) + k * (n - 1) + odd * n, i * (n + 1) - k * (n - 1) + odd
 
 
 def wigner_transform(rho: DensityMatrixGrid) -> WignerGrid:
     """Fourier transform along the off-diagonal coordinate at fixed midpoint,
     normalized by 1/(2 pi hbar) so the roundtrip with inverse_wigner is the
-    identity."""
+    identity.  rho is Hermitian, so a Hermitian FFT of its offsets k >= 0
+    gives the real W; on an even grid the offset k = n/2 is off the matrix."""
     n = rho.grid.n_points
     h = rho.grid.spacing
     hbar = rho.hbar
-    v = _antidiagonals(rho.values)
-    p = _conjugate_momenta(n, h, hbar)
-    # exp(-2j h k_j p_l / hbar) = exp(-2j pi (j-c)(l-c)/n) on the conjugate grid
-    w = _offdiag_dft(v, -1) * (h / (np.pi * hbar))
-    return WignerGrid(q=rho.grid.q.copy(), p=p, values=w.real, hbar=hbar)
+    m = n // 2 + 1
+    lattice, cells, _ = _half_lattice(n, 0, (m, 1))
+    v = np.zeros(n * m, dtype=complex)
+    v[lattice] = rho.values.ravel()[cells]
+    # FFT index l - n//2 is the centred momentum index l
+    w = np.fft.fftshift(np.fft.hfft(v.reshape(n, m), n, axis=1), axes=1)
+    w *= h / (np.pi * hbar)
+    p = (np.arange(n) - n // 2) * (np.pi * hbar / (h * n))
+    return WignerGrid(q=rho.grid.q.copy(), p=p, values=w, hbar=hbar)
 
 
 def inverse_wigner(w: WignerGrid) -> DensityMatrixGrid:
     """Rectangle-rule momentum sum of W exp(+i dQ P/hbar); exact inverse of
     wigner_transform on the even Q1+Q2 sublattice, spectral half-sample
-    shift on the rest."""
+    shift on the rest.  A zero-padded real FFT of each row of W gives the
+    sum at every offset i1 - i2 >= 0: even bins on the even sublattice, odd
+    bins half a step off it.  The i1 < i2 half is the exact conjugate."""
     n = w.q.size
     if w.p.size != n:
         raise ValueError(f"p-grid length {w.p.size} incompatible with q-grid length {n}")
@@ -330,24 +305,33 @@ def inverse_wigner(w: WignerGrid) -> DensityMatrixGrid:
     dp = float(w.p[1] - w.p[0])
     if abs(dp - dp_expect) > 1e-9 * dp_expect:
         raise ValueError("p-grid is not conjugate to the off-diagonal lattice of the q-grid")
-    scale = np.pi * w.hbar / (h * n)
-    v = _offdiag_dft(w.values.astype(complex), +1) * scale
-    # The odd sublattice sits half a step off v in both midpoint and offset:
-    # evaluate the trigonometric interpolant of v there (signed frequencies,
-    # Nyquist bin at -n/2) by a phase ramp on its spectrum.
-    ramp = np.exp(1j * np.pi * np.fft.fftfreq(n))
-    u = np.fft.fft2(v)
-    u *= ramp[:, None]
-    u *= ramp[None, :]
-    u = np.fft.ifft2(u)
-
+    # centring phase exp(-i pi d (n//2)/n) at offset d, times dp: (-i)^d for
+    # even n, an argument reduced below 2 pi for odd n
+    if n % 2 == 0:
+        phase = np.array([1, -1j, -1, 1j])[np.arange(n) % 4] * dp_expect
+    else:
+        phase = np.exp(-1j * np.pi * (np.arange(n) * (n // 2) % (2 * n)) / n) * dp_expect
+    r = np.fft.rfft(w.values, 2 * n, axis=1).T
+    # both sublattices offset-major, so each midpoint column is contiguous
+    even = np.conjugate(r[0:n:2], order="C")
+    even *= phase[0::2, None]
+    odd = np.conjugate(r[1:n:2], order="C")
+    odd *= phase[1::2, None]
+    del r
+    # The odd sublattice also sits half a step off in midpoint: evaluate the
+    # trigonometric interpolant there (signed frequencies, Nyquist bin at
+    # -n/2) by a phase ramp on its spectrum along the midpoint axis.
+    odd = np.fft.fft(odd, axis=1)
+    odd *= np.exp(1j * np.pi * np.fft.fftfreq(n))
+    odd = np.fft.ifft(odd, axis=1)
     rho = np.empty(n * n, dtype=complex)
-    for odd, lat in ((0, v), (1, u)):
-        lattice, cells = _sublattice(n, odd)
-        rho[cells] = lat.ravel()[lattice]
+    for parity, lat in ((0, even), (1, odd)):
+        lattice, cells, mirror = _half_lattice(n, parity, (1, n))
+        vals = lat.ravel()[lattice]
+        rho[cells] = vals
+        rho[mirror] = vals.conj()
     rho = rho.reshape(n, n)
-    # interpolation leaves ~1 ulp Hermitian asymmetry on the odd cells
-    rho = 0.5 * (rho + rho.conj().T)
+    np.fill_diagonal(rho, even[0].real)
     grid = GridSpec(q_min=float(w.q[0]), q_max=float(w.q[-1]), n_points=n)
     return DensityMatrixGrid(grid=grid, values=rho, hbar=w.hbar)
 

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from decodyn import cli
 from decodyn.bath import discretize_ohmic
 from decodyn.cli import ConfigError, list_presets, main, parse_config, preset_config, run_scenario
 
@@ -235,6 +236,60 @@ def test_non_finite_numbers_rejected(tmp_path, capsys, overrides, field):
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert field in capsys.readouterr().err
     with pytest.raises(ConfigError, match="finite"):
+        parse_config(json.loads(path.read_text()))
+
+
+@pytest.mark.parametrize(
+    "overrides,field",
+    [
+        ({"bath": {"ohmic": dict(OHMIC, omega_c=0)}}, "bath.ohmic.omega_c"),
+        ({"bath": {"ohmic": dict(OHMIC, eta=-0.25)}}, "bath.ohmic.eta"),
+        ({"bath": {"ohmic": dict(OHMIC, n_modes=0)}}, "bath.ohmic.n_modes"),
+        ({"bath": {"ohmic": dict(OHMIC, omega_max=0.0)}}, "bath.ohmic.omega_max"),
+        ({"state": {"packets": [{"center_q": 0.0, "sigma": float("nan")}]}}, "state.packets[0].sigma"),
+        (
+            {"state": {"packets": [{"center_q": 0.0, "sigma": 0.5}], "grid": {"q_min": None}}},
+            "state.grid.q_min",
+        ),
+    ],
+)
+def test_config_errors_name_the_field_once(overrides, field):
+    # the message opens with the field's full path and says it only once
+    with pytest.raises(ConfigError) as err:
+        parse_config(small_config(**overrides))
+    message = str(err.value)
+    assert message.startswith(f"{field}: ")
+    assert message.count(field) == 1
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("allocated before the size check")
+
+
+@pytest.mark.parametrize(
+    "overrides,field",
+    [
+        ({"time": {"t_max": 1.0, "n_steps": cli._MAX_TIME_STEPS + 1}}, "time.n_steps"),
+        ({"bath": {"ohmic": dict(OHMIC, n_modes=cli._MAX_BATH_MODES + 1)}}, "bath.ohmic.n_modes"),
+        (
+            {
+                "bath": {"ohmic": dict(OHMIC, n_modes=1000)},
+                "time": {"t_max": 1.0, "n_steps": cli._MAX_KERNEL_CELLS // 1000 + 1},
+            },
+            "time.n_steps",
+        ),
+    ],
+)
+def test_sizes_capped_before_allocation(tmp_path, capsys, monkeypatch, overrides, field):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(small_config(**overrides)))
+    # neither the time grid nor an over-cap bath is built before the refusal
+    monkeypatch.setattr(np, "linspace", _refuse)
+    if "time" not in overrides:
+        monkeypatch.setattr(cli, "discretize_ohmic", _refuse)
+    assert main(["validate", str(path)]) == 2
+    assert field in capsys.readouterr().err
+    with pytest.raises(ConfigError, match=field):
         parse_config(json.loads(path.read_text()))
 
 
