@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,7 +25,15 @@ import numpy as np
 
 from . import __version__
 from .bath import BathMode, BathSpec, discretize_ohmic, thermal_strength
-from .model import CouplingFunction, ModelConfig, _finite, coupling_from_config
+from .model import (
+    CouplingFunction,
+    LinearCoupling,
+    ModelConfig,
+    PolynomialCoupling,
+    QuadraticCoupling,
+    SinusoidalCoupling,
+    TabulatedCoupling,
+)
 from .oracle import FockConfig, fock_quantum_factor, mc_classical_factor
 from .rates import hbar_scan, separation_scan
 from .states import (
@@ -59,18 +68,37 @@ class Scenario:
 
 
 # Sizes read from a config are capped before anything is allocated: the
-# kernels b1, b2 and b2_dot each build an n_steps x n_modes array.
+# kernels b1, b2 and b2_dot each build an n_steps x n_modes array, the MC
+# oracle an n_samples-long complex array and the Fock oracle dense
+# (2 n_levels)^2 matrices.
 _MAX_TIME_STEPS = 100_000
 _MAX_BATH_MODES = 100_000
 _MAX_KERNEL_CELLS = 10_000_000
+_MAX_MC_SAMPLES = 10_000_000
+_MAX_FOCK_LEVELS = 512
 
 
-def _config_float(val, name: str) -> float:
-    """model._finite, its ValueError raised as a ConfigError."""
+@contextmanager
+def _field(path: str):
+    """Raise a ValueError or ArithmeticError from the enclosed block as a
+    ConfigError that opens with path; a ConfigError names its field already."""
     try:
-        return _finite(val, name)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        yield
+    except ConfigError:
+        raise
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _finite(value, path: str) -> float:
+    """A config value as a finite float; NaN fails the comparison, and an
+    integer beyond the float range is refused before conversion."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+
+
+_KINDS = {int: "an integer", str: "a string", dict: "an object", list: "a list"}
 
 
 def _get(cfg: dict, key: str, path: str, kind, default=None, required=False):
@@ -80,24 +108,18 @@ def _get(cfg: dict, key: str, path: str, kind, default=None, required=False):
         return default
     val = cfg[key]
     if kind is float:
-        return _config_float(val, f"{path}.{key}")
-    if kind is int:
-        if isinstance(val, bool) or not isinstance(val, int):
-            raise ConfigError(f"{path}.{key}: expected an integer, got {val!r}")
-        return val
-    if kind is str and not isinstance(val, str):
-        raise ConfigError(f"{path}.{key}: expected a string, got {val!r}")
-    if kind is dict and not isinstance(val, dict):
-        raise ConfigError(f"{path}.{key}: expected an object, got {val!r}")
-    if kind is list and not isinstance(val, list):
-        raise ConfigError(f"{path}.{key}: expected a list, got {val!r}")
+        return _finite(val, f"{path}.{key}")
+    if kind in _KINDS and (isinstance(val, bool) or not isinstance(val, kind)):
+        raise ConfigError(f"{path}.{key}: expected {_KINDS[kind]}, got {val!r}")
     return val
 
 
 def _get_numbers(cfg: dict, key: str, path: str) -> list[float]:
     """The required list cfg[key] of finite numbers; errors name path.key[i]."""
-    vals = _get(cfg, key, path, list, required=True)
-    return [_config_float(v, f"{path}.{key}[{i}]") for i, v in enumerate(vals)]
+    vals = _get(cfg, key, path, None, required=True)
+    if not isinstance(vals, list):
+        raise ConfigError(f"{path}.{key}: expected a list of finite numbers, got {vals!r}")
+    return [_finite(v, f"{path}.{key}[{i}]") for i, v in enumerate(vals)]
 
 
 def _get_or_inf(cfg: dict, key: str, path: str) -> float:
@@ -111,46 +133,64 @@ def _parse_model(cfg: dict) -> ModelConfig:
     raw = _get(cfg, "model", "config", dict, default={})
     hbar = _get(raw, "hbar", "model", float, default=1.0)
     beta = _get_or_inf(raw, "beta", "model")
-    try:
+    with _field("model"):
         return ModelConfig(hbar=hbar, beta=beta)
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from exc
 
 
 def _parse_bath(cfg: dict, model: ModelConfig) -> BathSpec:
     raw = _get(cfg, "bath", "config", dict, required=True)
-    try:
-        if "ohmic" in raw:
-            o = _get(raw, "ohmic", "bath", dict, required=True)
-            eta = _get(o, "eta", "bath.ohmic", float, required=True)
-            omega_c = _get_or_inf(o, "omega_c", "bath.ohmic")
-            omega_max = _get(o, "omega_max", "bath.ohmic", float, required=True)
-            for key, val in (("eta", eta), ("omega_c", omega_c), ("omega_max", omega_max)):
-                if not val > 0:
-                    raise ConfigError(f"bath.ohmic.{key}: must be positive, got {val}")
-            n_modes = _get(o, "n_modes", "bath.ohmic", int, required=True)
-            if not 1 <= n_modes <= _MAX_BATH_MODES:
-                raise ConfigError(f"bath.ohmic.n_modes: must be in [1, {_MAX_BATH_MODES}], got {n_modes}")
+    if "ohmic" in raw:
+        o = _get(raw, "ohmic", "bath", dict, required=True)
+        eta = _get(o, "eta", "bath.ohmic", float, required=True)
+        omega_c = _get_or_inf(o, "omega_c", "bath.ohmic")
+        omega_max = _get(o, "omega_max", "bath.ohmic", float, required=True)
+        for key, val in (("eta", eta), ("omega_c", omega_c), ("omega_max", omega_max)):
+            if not val > 0:
+                raise ConfigError(f"bath.ohmic.{key}: must be positive, got {val}")
+        n_modes = _get(o, "n_modes", "bath.ohmic", int, required=True)
+        if not 1 <= n_modes <= _MAX_BATH_MODES:
+            raise ConfigError(f"bath.ohmic.n_modes: must be in [1, {_MAX_BATH_MODES}], got {n_modes}")
+        with _field("bath.ohmic"):
             return discretize_ohmic(eta, omega_c, n_modes, omega_max, beta=model.beta, hbar=model.hbar)
-        if "modes" in raw:
-            entries = _get(raw, "modes", "bath", list, required=True)
-            modes = []
-            for i, entry in enumerate(entries):
-                if not isinstance(entry, dict):
-                    raise ConfigError(f"bath.modes[{i}]: expected an object")
+    if "modes" in raw:
+        modes = []
+        for i, entry in enumerate(_get(raw, "modes", "bath", list, required=True)):
+            path = f"bath.modes[{i}]"
+            if not isinstance(entry, dict):
+                raise ConfigError(f"{path}: expected an object")
+            with _field(path):
                 modes.append(
                     BathMode(
-                        mass=_get(entry, "m", f"bath.modes[{i}]", float, default=1.0),
-                        omega=_get(entry, "omega", f"bath.modes[{i}]", float, required=True),
-                        coupling=_get(entry, "c", f"bath.modes[{i}]", float, required=True),
+                        mass=_get(entry, "m", path, float, default=1.0),
+                        omega=_get(entry, "omega", path, float, required=True),
+                        coupling=_get(entry, "c", path, float, required=True),
                     )
                 )
+        with _field("bath.modes"):
             return BathSpec(modes=tuple(modes), beta=model.beta, hbar=model.hbar)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"bath: {exc}") from exc
     raise ConfigError("bath: must contain either 'ohmic' or 'modes'")
+
+
+def _parse_coupling(cfg: dict) -> CouplingFunction:
+    """``linear {a}`` and ``quadratic {a, b}`` are spellings of ``polynomial``."""
+    raw = _get(cfg, "coupling", "config", dict, required=True)
+    kind = _get(raw, "variant", "coupling", str, required=True)
+
+    def num(key, default=None):
+        return _get(raw, key, "coupling", float, default, required=default is None)
+
+    with _field("coupling"):
+        if kind == "linear":
+            return LinearCoupling(num("a", 1.0))
+        if kind == "quadratic":
+            return QuadraticCoupling(num("a", 1.0), num("b", 0.0))
+        if kind == "polynomial":
+            return PolynomialCoupling(_get_numbers(raw, "coefficients", "coupling"))
+        if kind == "sinusoidal":
+            return SinusoidalCoupling(num("amplitude", 1.0), num("wavelength"), num("phase", 0.0))
+        if kind == "tabulated":
+            return TabulatedCoupling(_get_numbers(raw, "q", "coupling"), _get_numbers(raw, "values", "coupling"))
+    raise ConfigError(f"coupling.variant: unknown variant {kind!r}")
 
 
 def _parse_state(cfg: dict) -> tuple[SuperpositionState, GridSpec | None]:
@@ -160,10 +200,10 @@ def _parse_state(cfg: dict) -> tuple[SuperpositionState, GridSpec | None]:
         raise ConfigError("state.packets: needs at least one packet")
     packets = []
     for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"state.packets[{i}]: expected an object")
         path = f"state.packets[{i}]"
-        try:
+        if not isinstance(entry, dict):
+            raise ConfigError(f"{path}: expected an object")
+        with _field(path):
             packets.append(
                 GaussianPacket(
                     center_q=_get(entry, "center_q", path, float, required=True),
@@ -175,23 +215,15 @@ def _parse_state(cfg: dict) -> tuple[SuperpositionState, GridSpec | None]:
                     ),
                 )
             )
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
     grid = None
     if "grid" in raw:
         g = _get(raw, "grid", "state", dict, required=True)
-        try:
+        with _field("state.grid"):
             grid = GridSpec(
                 q_min=_get(g, "q_min", "state.grid", float, required=True),
                 q_max=_get(g, "q_max", "state.grid", float, required=True),
                 n_points=_get(g, "n_points", "state.grid", int, required=True),
             )
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"state.grid: {exc}") from exc
     return SuperpositionState(packets=tuple(packets)), grid
 
 
@@ -215,13 +247,21 @@ def _parse_scan(cfg: dict) -> dict | None:
     if "separations" in raw:
         seps = _get_numbers(raw, "separations", "scan")
         sigma = _get(raw, "sigma", "scan", float, required=True)
+        if not seps or seps[0] <= 0 or any(b <= a for a, b in zip(seps, seps[1:])):
+            raise ConfigError(f"scan.separations: must be positive and strictly increasing, got {seps}")
+        if not 0 < sigma < 0.5 * seps[0]:
+            raise ConfigError(f"scan.sigma: must be positive and below half the smallest separation, got {sigma}")
         return {"kind": "separation", "separations": seps, "sigma": sigma}
     if "hbar_factors" in raw:
-        return {"kind": "hbar", "factors": _get_numbers(raw, "hbar_factors", "scan")}
+        factors = _get_numbers(raw, "hbar_factors", "scan")
+        for i, factor in enumerate(factors):
+            if not factor > 0:
+                raise ConfigError(f"scan.hbar_factors[{i}]: must be positive, got {factor}")
+        return {"kind": "hbar", "factors": factors}
     raise ConfigError("scan: must contain 'separations' (+'sigma') or 'hbar_factors'")
 
 
-def _parse_oracle(cfg: dict) -> dict | None:
+def _parse_oracle(cfg: dict, bath: BathSpec) -> dict | None:
     if "oracle" not in cfg:
         return None
     raw = _get(cfg, "oracle", "config", dict, required=True)
@@ -230,21 +270,39 @@ def _parse_oracle(cfg: dict) -> dict | None:
         mc = _get(raw, "mc", "oracle", dict, required=True)
         times = _get_numbers(mc, "times", "oracle.mc")
         n_samples = _get(mc, "n_samples", "oracle.mc", int, default=100_000)
-        if n_samples < 1000 or n_samples % 100:
+        if not 1000 <= n_samples <= _MAX_MC_SAMPLES or n_samples % 100:
             raise ConfigError(
-                f"oracle.mc.n_samples: must be >= 1000 and a multiple of 100, got {n_samples}"
+                f"oracle.mc.n_samples: must be a multiple of 100 in [1000, {_MAX_MC_SAMPLES}], got {n_samples}"
             )
         out["mc"] = {"times": times, "n_samples": n_samples}
     if "fock" in raw:
         fk = _get(raw, "fock", "oracle", dict, required=True)
         times = _get_numbers(fk, "times", "oracle.fock")
         n_levels = _get(fk, "n_levels", "oracle.fock", int, default=64)
-        if n_levels < 8:
-            raise ConfigError(f"oracle.fock.n_levels: must be >= 8, got {n_levels}")
+        if not 8 <= n_levels <= _MAX_FOCK_LEVELS:
+            raise ConfigError(f"oracle.fock.n_levels: must be in [8, {_MAX_FOCK_LEVELS}], got {n_levels}")
+        if bath.n_modes != 1:
+            raise ConfigError(f"oracle.fock: needs a single-mode bath, got {bath.n_modes} modes")
         out["fock"] = {"times": times, "n_levels": n_levels}
     if not out:
         raise ConfigError("oracle: must contain 'mc' and/or 'fock'")
     return out
+
+
+def _check_table_covers(scn: Scenario) -> None:
+    """Refuse a table that ends inside the run's domain: the state's grid, the
+    grid of the widest cat of a separation scan and the probe.  GridSpec.cover
+    builds no array, but overflows on a span beyond the float range."""
+    with _field("state"):
+        grids = [scn.grid or GridSpec.cover(scn.state)]
+    if scn.scan is not None and scn.scan["kind"] == "separation":
+        with _field("scan"):
+            widest = SuperpositionState.symmetric_cat(scn.scan["separations"][-1], scn.scan["sigma"])
+            grids.append(GridSpec.cover(widest))
+    points = [*(scn.probe or _default_probe(scn.state)), *(q for g in grids for q in (g.q_min, g.q_max))]
+    lo, hi = scn.coupling.q_grid[0], scn.coupling.q_grid[-1]
+    if not lo <= min(points) <= max(points) <= hi:
+        raise ConfigError(f"coupling.q: the table spans [{lo}, {hi}] but the run reads f on [{min(points)}, {max(points)}]")
 
 
 def parse_config(cfg: dict) -> Scenario:
@@ -254,12 +312,7 @@ def parse_config(cfg: dict) -> Scenario:
     name = _get(cfg, "name", "config", str, required=True)
     model = _parse_model(cfg)
     bath = _parse_bath(cfg, model)
-    if "coupling" not in cfg:
-        raise ConfigError("config.coupling: required field is missing")
-    try:
-        coupling = coupling_from_config(cfg["coupling"])
-    except ValueError as exc:
-        raise ConfigError(f"coupling: {exc}") from exc
+    coupling = _parse_coupling(cfg)
     state, grid = _parse_state(cfg)
     times = _parse_times(cfg, bath.n_modes)
     probe = None
@@ -269,7 +322,7 @@ def parse_config(cfg: dict) -> Scenario:
             _get(p, "q1", "probe", float, required=True),
             _get(p, "q2", "probe", float, required=True),
         )
-    return Scenario(
+    scn = Scenario(
         name=name,
         model=model,
         bath=bath,
@@ -279,9 +332,12 @@ def parse_config(cfg: dict) -> Scenario:
         times=times,
         probe=probe,
         scan=_parse_scan(cfg),
-        oracle=_parse_oracle(cfg),
+        oracle=_parse_oracle(cfg, bath),
         seed=_get(cfg, "seed", "config", int, default=0),
     )
+    if isinstance(coupling, TabulatedCoupling):
+        _check_table_covers(scn)
+    return scn
 
 
 def _default_probe(state: SuperpositionState) -> tuple[float, float]:
@@ -359,25 +415,27 @@ def _oracle_records(scn: Scenario, probe: tuple[float, float], seed: int) -> dic
     return result
 
 
+def _load(source) -> dict:
+    """The config document from a dict, a JSON file or a preset name."""
+    if isinstance(source, dict):
+        return source
+    if Path(source).is_file():
+        with _field("config"):
+            try:
+                return json.loads(Path(source).read_bytes())
+            except (OSError, RecursionError) as exc:
+                raise ConfigError(f"config: cannot read {source}: {exc}") from exc
+    if str(source) in PRESETS:
+        return preset_config(str(source))
+    raise ConfigError(f"config: no such file or preset: {source}")
+
+
 def run_scenario(source, out_dir=".", seed: int | None = None) -> dict:
     """Run one scenario from a config path, preset name or config dict.
 
     Returns a mapping of output kind to written file path.
     """
-    if isinstance(source, dict):
-        cfg = source
-    else:
-        text = Path(source).read_text() if Path(source).is_file() else None
-        if text is None:
-            if str(source) in PRESETS:
-                cfg = preset_config(str(source))
-            else:
-                raise ConfigError(f"config: no such file or preset: {source}")
-        else:
-            try:
-                cfg = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config: not valid JSON ({exc})") from exc
+    cfg = _load(source)
     scn = parse_config(cfg)
     run_seed = scn.seed if seed is None else int(seed)
 
@@ -603,8 +661,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_presets = sub.add_parser("presets", help="list built-in presets")
     p_presets.add_argument("--write", metavar="DIR", default=None, help="also write preset configs as JSON")
 
-    p_val = sub.add_parser("validate", help="validate a config file without running it")
-    p_val.add_argument("config", help="path to a JSON config")
+    p_val = sub.add_parser("validate", help="validate a config file or preset without running it")
+    p_val.add_argument("config", help="path to a JSON config, or a preset name")
     return parser
 
 
@@ -623,12 +681,7 @@ def main(argv=None) -> int:
                     print(f"wrote {path}")
             return 0
         if args.command == "validate":
-            try:
-                cfg = json.loads(Path(args.config).read_text())
-            except (OSError, json.JSONDecodeError) as exc:
-                print(f"config error: {exc}", file=sys.stderr)
-                return 2
-            parse_config(cfg)
+            parse_config(_load(args.config))
             print(f"{args.config}: OK")
             return 0
         paths = run_scenario(args.config, out_dir=args.out, seed=args.seed)

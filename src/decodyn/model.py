@@ -31,7 +31,6 @@ __all__ = [
     "PolynomialCoupling",
     "SinusoidalCoupling",
     "TabulatedCoupling",
-    "coupling_from_config",
 ]
 
 
@@ -199,57 +198,3 @@ class TabulatedCoupling(CouplingFunction):
     def _derivative(self, q):
         self._check_range(q)
         return np.interp(q, self.q_grid, self._slope_table)
-
-
-def _finite(value, name: str) -> float:
-    """A config value as a finite float; the ValueError names the field."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name}: expected a finite number, got {value!r}")
-    try:
-        num = float(value)
-    except OverflowError:  # an integer beyond the float range
-        num = math.inf
-    if not math.isfinite(num):
-        raise ValueError(f"{name}: expected a finite number, got {value!r}")
-    return num
-
-
-def _number(cfg: dict, key: str, default: float | None = None) -> float:
-    """cfg[key] as a finite float; default, if given, stands in for a missing key."""
-    return _finite(cfg[key] if default is None else cfg.get(key, default), f"coupling.{key}")
-
-
-def _numbers(cfg: dict, key: str) -> tuple[float, ...]:
-    values = cfg[key]
-    if not isinstance(values, (list, tuple)):
-        raise ValueError(f"coupling.{key}: expected a list of finite numbers, got {values!r}")
-    return tuple(_finite(v, f"coupling.{key}[{i}]") for i, v in enumerate(values))
-
-
-def coupling_from_config(cfg: dict) -> CouplingFunction:
-    """Build a coupling function from its JSON configuration.
-
-    ``linear {a}`` and ``quadratic {a, b}`` are spellings of ``polynomial``.
-    Every parameter must be a finite number.
-    """
-    if not isinstance(cfg, dict) or "variant" not in cfg:
-        raise ValueError("coupling config must be an object with a 'variant' key")
-    kind = cfg["variant"]
-    try:
-        if kind == "linear":
-            return LinearCoupling(a=_number(cfg, "a", 1.0))
-        if kind == "quadratic":
-            return QuadraticCoupling(a=_number(cfg, "a", 1.0), b=_number(cfg, "b", 0.0))
-        if kind == "polynomial":
-            return PolynomialCoupling(coefficients=_numbers(cfg, "coefficients"))
-        if kind == "sinusoidal":
-            return SinusoidalCoupling(
-                amplitude=_number(cfg, "amplitude", 1.0),
-                wavelength=_number(cfg, "wavelength"),
-                phase=_number(cfg, "phase", 0.0),
-            )
-        if kind == "tabulated":
-            return TabulatedCoupling(q_grid=_numbers(cfg, "q"), values=_numbers(cfg, "values"))
-    except KeyError as exc:
-        raise ValueError(f"coupling config for variant '{kind}' is missing {exc}") from exc
-    raise ValueError(f"unknown coupling variant '{kind}'")

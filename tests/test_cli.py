@@ -4,10 +4,19 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from decodyn import cli
 from decodyn.bath import discretize_ohmic
 from decodyn.cli import ConfigError, list_presets, main, parse_config, preset_config, run_scenario
+from decodyn.model import (
+    LinearCoupling,
+    PolynomialCoupling,
+    QuadraticCoupling,
+    SinusoidalCoupling,
+    TabulatedCoupling,
+)
 
 REQUIRED_PRESETS = {
     "linear",
@@ -29,6 +38,8 @@ def read_csv(path):
 
 
 OHMIC = {"eta": 0.25, "omega_c": 1.0, "n_modes": 8, "omega_max": 5.0}
+TABLE = {"variant": "tabulated", "q": [-5, -1, 1, 5], "values": [-5, -1, 1, 5]}
+SMALL_STATE = {"packets": [{"center_q": 0.0, "sigma": 0.1}]}
 
 
 def small_config(**overrides):
@@ -179,12 +190,107 @@ def test_config_errors_name_fields():
         parse_config(small_config(oracle={"fock": {"times": [1.0], "n_levels": 4}}))
 
 
+# a state whose grid, [0.8, 3.2], lies inside the tabulated case's table
+INSIDE_TABLE = {"packets": [{"center_q": 2.0, "sigma": 0.1}]}
+
+CONFIG_CASES = [
+    ({"variant": "linear", "a": 2.0}, LinearCoupling(2.0)),
+    ({"variant": "quadratic", "a": 1.0, "b": 0.3}, QuadraticCoupling(1.0, 0.3)),
+    ({"variant": "polynomial", "coefficients": [0, 1, 0, -2]}, PolynomialCoupling((0.0, 1.0, 0.0, -2.0))),
+    (
+        {"variant": "sinusoidal", "amplitude": 1.5, "wavelength": 4.0, "phase": 0.25},
+        SinusoidalCoupling(1.5, 4.0, 0.25),
+    ),
+    (
+        {"variant": "tabulated", "q": [0, 1, 2, 3, 4], "values": [0, 1, 0, -1, 0]},
+        TabulatedCoupling((0, 1, 2, 3, 4), (0, 1, 0, -1, 0)),
+    ),
+]
+
+
+@pytest.mark.parametrize("cfg,f", CONFIG_CASES, ids=[f"f{i}" for i in range(len(CONFIG_CASES))])
+def test_config_roundtrip(cfg, f):
+    parsed = parse_config(small_config(coupling=cfg, state=INSIDE_TABLE)).coupling
+    q = np.linspace(0.5, 3.5, 11)
+    np.testing.assert_allclose(parsed.eval(q), f.eval(q), rtol=0, atol=1e-14)
+
+
+def test_config_errors():
+    with pytest.raises(ConfigError, match="variant"):
+        parse_config(small_config(coupling={"variant": "fourier"}))
+    with pytest.raises(ConfigError):
+        parse_config(small_config(coupling={"a": 1.0}))
+    with pytest.raises(ConfigError, match="missing"):
+        parse_config(small_config(coupling={"variant": "sinusoidal"}))
+
+
+# bounded so that no product in the coupling classes overflows
+FINITE = st.floats(-1e100, 1e100)
+
+
+@given(a=FINITE, b=FINITE)
+def test_linear_and_quadratic_config_aliases(a, b):
+    # the config variants linear and quadratic build the polynomial subclasses
+    f = parse_config(small_config(coupling={"variant": "linear", "a": a})).coupling
+    g = parse_config(small_config(coupling={"variant": "quadratic", "a": a, "b": b})).coupling
+    assert f == LinearCoupling(a)
+    assert g == QuadraticCoupling(a, b)
+    assert isinstance(f, PolynomialCoupling) and isinstance(g, PolynomialCoupling)
+
+
+def _leaves(node, path=()):
+    """Key paths to every scalar of a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path]
+    return [leaf for key, child in items for leaf in _leaves(child, path + (key,))]
+
+
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=4),
+    st.sampled_from(["inf", 0, -1, -2.5, 10**400, math.inf, -math.inf, math.nan, 1e308]),
+    st.lists(st.integers(-2, 2), max_size=2),
+    st.dictionaries(st.sampled_from(["a", "m", "q"]), st.integers(-2, 2), max_size=1),
+)
+
+
+@pytest.mark.parametrize("name", sorted(REQUIRED_PRESETS))
+@given(data=st.data())
+def test_parse_fuzz_raises_only_config_errors(name, data):
+    # one or two leaves of a preset replaced by arbitrary JSON values: the
+    # parser returns a scenario or names the bad field, nothing else
+    cfg = json.loads(json.dumps(preset_config(name)))
+    paths = data.draw(st.lists(st.sampled_from(_leaves(cfg)), min_size=1, max_size=2, unique=True))
+    for path in paths:
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = data.draw(JSON_VALUES)
+    try:
+        assert isinstance(parse_config(cfg), cli.Scenario)
+    except ConfigError:
+        pass
+
+
 def test_main_run_and_exit_codes(tmp_path, capsys):
     cfg_path = tmp_path / "ok.json"
     cfg_path.write_text(json.dumps(small_config()))
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
 
     assert main(["validate", str(cfg_path)]) == 0
+    assert main(["validate", "linear"]) == 0
+
+    latin1 = tmp_path / "latin1.json"
+    # a config saved as Latin-1 is not valid UTF-8
+    latin1.write_bytes(json.dumps(small_config(name="caf\u00e9"), ensure_ascii=False).encode("latin-1"))
+    for argv in (["validate", str(latin1)], ["run", str(latin1), "--out", str(tmp_path / "out")]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: config: ")
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(small_config(time={"n_steps": 10})))
@@ -251,6 +357,20 @@ def test_non_finite_numbers_rejected(tmp_path, capsys, overrides, field):
             {"state": {"packets": [{"center_q": 0.0, "sigma": 0.5}], "grid": {"q_min": None}}},
             "state.grid.q_min",
         ),
+        ({"bath": {"modes": [{"m": 0, "omega": 1.0, "c": 1.0}]}}, "bath.modes[0]"),
+        ({"bath": {"modes": [{"m": 1.0, "omega": -1, "c": 1.0}]}}, "bath.modes[0]"),
+        ({"coupling": {"variant": "linear", "a": float("inf")}}, "coupling.a"),
+        ({"coupling": {"variant": "sinusoidal", "amplitude": 1.0}}, "coupling.wavelength"),
+        ({"coupling": {"variant": "fourier"}}, "coupling.variant"),
+        # the linear preset's state reaches +-8.8, past the table's ends
+        ({"coupling": TABLE, "state": preset_config("linear")["state"]}, "coupling.q"),
+        # the state lies inside the table, the probe or the widest scan cat does not
+        ({"coupling": TABLE, "state": SMALL_STATE, "probe": {"q1": -1.0, "q2": 6.0}}, "coupling.q"),
+        ({"coupling": TABLE, "state": SMALL_STATE, "scan": {"separations": [1.0, 8.0], "sigma": 0.1}}, "coupling.q"),
+        ({"scan": {"separations": [4.0, 2.0], "sigma": 0.5}}, "scan.separations"),
+        ({"scan": {"separations": [2.0, 4.0], "sigma": 1.0}}, "scan.sigma"),
+        ({"scan": {"hbar_factors": [1.0, 0.0]}}, "scan.hbar_factors[1]"),
+        ({"bath": {"ohmic": OHMIC}, "oracle": {"fock": {"times": [1.0]}}}, "oracle.fock"),
     ],
 )
 def test_config_errors_name_the_field_once(overrides, field):
@@ -278,17 +398,25 @@ def _refuse(*args, **kwargs):
             },
             "time.n_steps",
         ),
+        # cap + 1 is not a multiple of 100, which is refused on its own
+        ({"oracle": {"mc": {"times": [1.0], "n_samples": cli._MAX_MC_SAMPLES + 100}}}, "oracle.mc.n_samples"),
+        ({"oracle": {"fock": {"times": [1.0], "n_levels": cli._MAX_FOCK_LEVELS + 1}}}, "oracle.fock.n_levels"),
     ],
 )
 def test_sizes_capped_before_allocation(tmp_path, capsys, monkeypatch, overrides, field):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(small_config(**overrides)))
-    # neither the time grid nor an over-cap bath is built before the refusal
-    monkeypatch.setattr(np, "linspace", _refuse)
+    # neither the time grid, an over-cap bath nor an oracle's arrays are
+    # built before the refusal; the oracles are parsed after the time grid
+    monkeypatch.setattr(cli, "mc_classical_factor", _refuse)
+    monkeypatch.setattr(cli, "fock_quantum_factor", _refuse)
+    if "oracle" not in overrides:
+        monkeypatch.setattr(np, "linspace", _refuse)
     if "time" not in overrides:
         monkeypatch.setattr(cli, "discretize_ohmic", _refuse)
-    assert main(["validate", str(path)]) == 2
-    assert field in capsys.readouterr().err
+    for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "out")]):
+        assert main(argv) == 2
+        assert field in capsys.readouterr().err
     with pytest.raises(ConfigError, match=field):
         parse_config(json.loads(path.read_text()))
 
@@ -316,8 +444,7 @@ def test_presets_command_writes_configs(tmp_path, capsys):
     out = capsys.readouterr().out
     for name in REQUIRED_PRESETS:
         assert name in out
-        assert (tmp_path / f"{name}.json").exists()
-        json.loads((tmp_path / f"{name}.json").read_text())
+        assert main(["validate", str(tmp_path / f"{name}.json")]) == 0
 
 
 def test_probe_defaults_to_packet_centers(tmp_path):

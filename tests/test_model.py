@@ -12,7 +12,6 @@ from decodyn.model import (
     QuadraticCoupling,
     SinusoidalCoupling,
     TabulatedCoupling,
-    coupling_from_config,
 )
 
 
@@ -118,8 +117,6 @@ def test_linear_and_quadratic_are_polynomials(a, b, q, dq):
     assert g.eval(q) == quad(q)
     assert g.slope(q) == quad_slope(q)
     assert g.finite_difference(q, dq) == _closed_quotient(quad, quad_slope, q, dq)
-    assert coupling_from_config({"variant": "linear", "a": a}) == f
-    assert coupling_from_config({"variant": "quadratic", "a": a, "b": b}) == g
     assert isinstance(f, PolynomialCoupling) and isinstance(g, PolynomialCoupling)
 
 
@@ -157,33 +154,3 @@ def test_sinusoidal_requires_nonzero_wavelength():
     with pytest.raises(ValueError):
         SinusoidalCoupling(1.0, 0.0)
 
-
-CONFIG_CASES = [
-    ({"variant": "linear", "a": 2.0}, LinearCoupling(2.0)),
-    ({"variant": "quadratic", "a": 1.0, "b": 0.3}, QuadraticCoupling(1.0, 0.3)),
-    ({"variant": "polynomial", "coefficients": [0, 1, 0, -2]}, PolynomialCoupling((0.0, 1.0, 0.0, -2.0))),
-    (
-        {"variant": "sinusoidal", "amplitude": 1.5, "wavelength": 4.0, "phase": 0.25},
-        SinusoidalCoupling(1.5, 4.0, 0.25),
-    ),
-    (
-        {"variant": "tabulated", "q": [0, 1, 2, 3, 4], "values": [0, 1, 0, -1, 0]},
-        TabulatedCoupling((0, 1, 2, 3, 4), (0, 1, 0, -1, 0)),
-    ),
-]
-
-
-@pytest.mark.parametrize("cfg,f", CONFIG_CASES, ids=[f"f{i}" for i in range(len(CONFIG_CASES))])
-def test_config_roundtrip(cfg, f):
-    parsed = coupling_from_config(cfg)
-    q = np.linspace(0.5, 3.5, 11)
-    np.testing.assert_allclose(parsed.eval(q), f.eval(q), rtol=0, atol=1e-14)
-
-
-def test_config_errors():
-    with pytest.raises(ValueError, match="variant"):
-        coupling_from_config({"variant": "fourier"})
-    with pytest.raises(ValueError):
-        coupling_from_config({"a": 1.0})
-    with pytest.raises(ValueError, match="missing"):
-        coupling_from_config({"variant": "sinusoidal"})

@@ -5,7 +5,7 @@ import decodyn
 MODULES = ("model", "bath", "states", "rates", "strongdec", "oracle")
 
 # pruned API; none of these may come back through the package namespace
-DELETED = ("BathPhasePoint", "sample_thermal", "evolve_matrix")
+DELETED = ("BathPhasePoint", "sample_thermal", "evolve_matrix", "coupling_from_config")
 
 
 def test_package_all_is_union_of_module_all():
