@@ -127,11 +127,14 @@ def discretize_ohmic(
         raise ValueError(f"omega_cutoff must be positive, got {omega_cutoff}")
     dw = omega_max / n_modes
     omegas = dw * np.arange(1, n_modes + 1)
-    if math.isinf(omega_cutoff):
-        j_vals = eta * omegas
-    else:
-        j_vals = eta * omegas * np.exp(-omegas / omega_cutoff)
-    couplings = np.sqrt(2.0 * omegas * j_vals * dw / np.pi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if math.isinf(omega_cutoff):
+            j_vals = eta * omegas
+        else:
+            j_vals = eta * omegas * np.exp(-omegas / omega_cutoff)
+        couplings = np.sqrt(2.0 * omegas * j_vals * dw / np.pi)
+    if not (np.all(np.isfinite(omegas)) and np.all(np.isfinite(couplings))):
+        raise ValueError("mode frequencies and couplings overflow the float range")
     modes = tuple(BathMode(1.0, float(w), float(c)) for w, c in zip(omegas, couplings))
     return BathSpec(modes=modes, beta=beta, hbar=hbar)
 

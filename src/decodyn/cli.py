@@ -289,12 +289,10 @@ def _parse_oracle(cfg: dict, bath: BathSpec) -> dict | None:
     return out
 
 
-def _check_table_covers(scn: Scenario) -> None:
+def _check_table_covers(scn: Scenario, grid: GridSpec) -> None:
     """Refuse a table that ends inside the run's domain: the state's grid, the
-    grid of the widest cat of a separation scan and the probe.  GridSpec.cover
-    builds no array, but overflows on a span beyond the float range."""
-    with _field("state"):
-        grids = [scn.grid or GridSpec.cover(scn.state)]
+    grid of the widest cat of a separation scan and the probe."""
+    grids = [grid]
     if scn.scan is not None and scn.scan["kind"] == "separation":
         with _field("scan"):
             widest = SuperpositionState.symmetric_cat(scn.scan["separations"][-1], scn.scan["sigma"])
@@ -310,10 +308,17 @@ def parse_config(cfg: dict) -> Scenario:
     if not isinstance(cfg, dict):
         raise ConfigError("config: top level must be an object")
     name = _get(cfg, "name", "config", str, required=True)
+    # the name opens every output file name, so it must be one plain component
+    if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        raise ConfigError(f"config.name: must be a plain file name, got {name!r}")
     model = _parse_model(cfg)
     bath = _parse_bath(cfg, model)
     coupling = _parse_coupling(cfg)
     state, grid = _parse_state(cfg)
+    # GridSpec.cover builds no array, but fails on widths and spans beyond
+    # the float range; refuse those here rather than when the run starts
+    with _field("state"):
+        domain = grid or GridSpec.cover(state)
     times = _parse_times(cfg, bath.n_modes)
     probe = None
     if "probe" in cfg:
@@ -336,7 +341,7 @@ def parse_config(cfg: dict) -> Scenario:
         seed=_get(cfg, "seed", "config", int, default=0),
     )
     if isinstance(coupling, TabulatedCoupling):
-        _check_table_covers(scn)
+        _check_table_covers(scn, domain)
     return scn
 
 

@@ -153,26 +153,43 @@ _TRACE_TOL = 1e-8
 _DIAG_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+def _check_trace(tr: float) -> None:
+    # the comparison also refuses a NaN or infinite trace
+    if not abs(tr - 1.0) <= _TRACE_TOL:
+        raise ValueError(f"density matrix trace {tr} != 1")
+
+
 class DensityMatrixGrid:
     """Complex rho(Q1, Q2) samples on a uniform grid.
 
-    Construction validates Hermiticity, unit trace and diagonal positivity
-    at the tolerances any state produced by this package satisfies.
+    A mixed state is given by its matrix ``values``; construction validates
+    Hermiticity, unit trace and diagonal positivity at the tolerances any
+    state produced by this package satisfies.  A pure state is given by its
+    normalized wavefunction ``psi`` instead: rho = psi psi^dagger is
+    Hermitian with a non-negative diagonal by construction, so only the
+    trace h sum |psi|^2 is checked, in O(n), and ``values`` is formed on
+    first read.
     """
 
-    grid: GridSpec
-    values: np.ndarray
-    hbar: float = 1.0
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        object.__setattr__(self, "values", v)
-        n = self.grid.n_points
+    def __init__(self, grid: GridSpec, values=None, hbar: float = 1.0, *, psi=None):
+        if (values is None) == (psi is None):
+            raise ValueError("give exactly one of values and psi")
+        if not hbar > 0:
+            raise ValueError("hbar must be positive")
+        self.grid = grid
+        self.hbar = hbar
+        self.psi = None
+        n = grid.n_points
+        if psi is not None:
+            p = np.asarray(psi, dtype=complex)
+            if p.shape != (n,):
+                raise ValueError(f"psi must have {n} entries, got shape {p.shape}")
+            _check_trace(float(np.sum(np.abs(p) ** 2)) * grid.spacing)
+            self.psi = p
+            return
+        v = np.asarray(values, dtype=complex)
         if v.shape != (n, n):
             raise ValueError(f"values must be {n}x{n}, got {v.shape}")
-        if not self.hbar > 0:
-            raise ValueError("hbar must be positive")
         scale = max(float(np.max(np.abs(v))), 1.0)
         herm = float(np.max(np.abs(v - v.conj().T)))
         if herm > _HERMITICITY_TOL * scale:
@@ -180,9 +197,12 @@ class DensityMatrixGrid:
         d = np.diagonal(v)
         if float(np.min(d.real)) < -_DIAG_TOL * scale:
             raise ValueError("density matrix diagonal has negative entries")
-        tr = float(np.sum(d.real)) * self.grid.spacing
-        if abs(tr - 1.0) > _TRACE_TOL:
-            raise ValueError(f"density matrix trace {tr} != 1")
+        _check_trace(float(np.sum(d.real)) * grid.spacing)
+        self.values = v
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return np.outer(self.psi, self.psi.conj())
 
     def trace(self) -> float:
         return float(np.sum(np.diagonal(self.values).real)) * self.grid.spacing
@@ -217,7 +237,8 @@ def build_density_matrix(
     grid: GridSpec | None = None,
     hbar: float = 1.0,
 ) -> DensityMatrixGrid:
-    """Sample the pure state on the grid and form rho = psi psi^dagger.
+    """Sample the pure state on the grid; rho = psi psi^dagger is held as
+    its normalized factor psi.
 
     The grid must cover every packet center +- 8 sigma; omitting it selects
     the auto-sized grid.  psi is renormalized on the grid, so the result has
@@ -235,9 +256,7 @@ def build_density_matrix(
     norm = grid.spacing * float(np.sum(np.abs(psi) ** 2))
     if norm <= 0:
         raise ValueError("state has zero norm on the grid")
-    psi = psi / np.sqrt(norm)
-    rho = np.outer(psi, psi.conj())
-    return DensityMatrixGrid(grid=grid, values=rho, hbar=hbar)
+    return DensityMatrixGrid(grid=grid, psi=psi / np.sqrt(norm), hbar=hbar)
 
 
 def purity(rho: DensityMatrixGrid) -> float:

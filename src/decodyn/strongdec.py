@@ -28,9 +28,11 @@ x = 2 (Q1-Q2)^2 g^2 is exactly symmetric under Q1 <-> Q2 and zero on the
 diagonal, so each cell above the diagonal is paired with its mirror image
 and carries their summed weight.  Pairs whose summed weight is below
 1e-17/n^2 are dropped; since |expm1(-x b2)| <= 1, the dropped mass, below
-1e-17 in total, bounds the change in S(t).  For a polynomial coupling of
-degree <= 2 the difference quotient is f'(Qbar) exactly, so the quantum side
-uses the slope and the entropy is evaluated once for both sides.
+1e-17 in total, bounds the change in S(t).  A pure state pairs the 1-D
+support of a = h |psi|^2, since h^2 |rho0|^2 = a(Q1) a(Q2): the same pairs,
+without an n x n array.  For a polynomial coupling of degree <= 2 the
+difference quotient is f'(Qbar) exactly, so the quantum side uses the slope
+and the entropy is evaluated once for both sides.
 """
 
 from __future__ import annotations
@@ -122,22 +124,55 @@ def support_field(rho0: DensityMatrixGrid, f: CouplingFunction, side: str):
     """Entropy quadrature terms on the support of rho0.
 
     Returns ``(w, x, defect)``: the summed weight h^2 (|rho0|^2 + mirror) and
-    the exponent 2 (Q1-Q2)^2 g^2 of every kept cell above the diagonal, and
-    the purity defect sum(h^2 |rho0|^2) - 1 of the full grid.
+    the exponent 2 (Q1-Q2)^2 g^2 of every kept cell above the diagonal, in
+    row-major order, and the purity defect sum(h^2 |rho0|^2) - 1 of the full
+    grid.  A pure state is paired from its 1-D support, without an n x n
+    array.
     """
     n = rho0.grid.n_points
-    h = rho0.grid.spacing
-    w = np.abs(rho0.values)
-    w *= w
-    w *= h * h
-    defect = float(np.sum(w)) - 1.0
-    w = w + w.T
-    i, j = np.nonzero(np.triu(w >= _DROPPED_MASS / n**2, 1))
-    w = w[i, j]
+    cut = _DROPPED_MASS / n**2
+    if rho0.psi is None:
+        h = rho0.grid.spacing
+        w = np.abs(rho0.values)
+        w *= w
+        w *= h * h
+        defect = float(np.sum(w)) - 1.0
+        w = w + w.T
+        i, j = np.nonzero(np.triu(w >= cut, 1))
+        w = w[i, j]
+    else:
+        i, j, w, defect = _pure_pairs(rho0, cut)
     q = rho0.grid.q
     dq = q[i] - q[j]
     g = _weight(f, 0.5 * (q[i] + q[j]), dq, side)
     return w, 2.0 * dq**2 * g**2, defect
+
+
+# cells of one row chunk of the pure-state pairing
+_CHUNK_CELLS = 1 << 20
+
+
+def _pure_pairs(rho0: DensityMatrixGrid, cut: float):
+    """Pairs i < j of a pure state, whose weight 2 a_i a_j (a = h |psi|^2) is
+    at least cut, in row-major order, with their weights and the defect
+    (sum a)^2 - 1.  Only cells with 2 a_i max(a) >= cut can be in a pair, so
+    the rows are taken in chunks over those cells alone."""
+    a = np.abs(rho0.psi)
+    a *= a
+    a *= rho0.grid.spacing
+    total = float(np.sum(a))
+    cells = np.flatnonzero(2.0 * a * a.max() >= cut)
+    b = a[cells]
+    step = max(1, _CHUNK_CELLS // b.size)
+    i, j, w = [], [], []
+    for r in range(0, b.size, step):
+        prod = 2.0 * b[r : r + step, None] * b[None, r:]
+        keep = np.triu(prod >= cut, 1)
+        rows, cols = np.nonzero(keep)
+        i.append(cells[rows + r])
+        j.append(cells[cols + r])
+        w.append(prod[keep])
+    return np.concatenate(i), np.concatenate(j), np.concatenate(w), total * total - 1.0
 
 
 def entropy_series(rho0: DensityMatrixGrid, times, f: CouplingFunction, bath: BathSpec, side: str) -> np.ndarray:

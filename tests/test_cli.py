@@ -371,6 +371,15 @@ def test_non_finite_numbers_rejected(tmp_path, capsys, overrides, field):
         ({"scan": {"separations": [2.0, 4.0], "sigma": 1.0}}, "scan.sigma"),
         ({"scan": {"hbar_factors": [1.0, 0.0]}}, "scan.hbar_factors[1]"),
         ({"bath": {"ohmic": OHMIC}, "oracle": {"fock": {"times": [1.0]}}}, "oracle.fock"),
+        # the name opens every output file name
+        ({"name": "sub/dir"}, "config.name"),
+        ({"name": "../x"}, "config.name"),
+        # finite inputs whose Ohmic couplings overflow
+        ({"bath": {"ohmic": dict(OHMIC, omega_max=1e308)}}, "bath.ohmic"),
+        ({"bath": {"ohmic": dict(OHMIC, eta=1e308)}}, "bath.ohmic"),
+        # the automatic grid of these states is refused when parsed
+        ({"state": {"packets": [{"center_q": 0.0, "sigma": 5e-324}]}}, "state"),
+        ({"state": {"packets": [{"center_q": 1e308, "sigma": 0.5}]}}, "state"),
     ],
 )
 def test_config_errors_name_the_field_once(overrides, field):

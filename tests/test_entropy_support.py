@@ -3,7 +3,9 @@
 ``strongdec.support_field`` pairs each cell above the diagonal with its
 mirror image and drops pairs below 1e-17/n^2 of weight, so ``S(t)`` may move
 by at most 1e-17 against the quadrature over every n x n cell.  The reference
-below is that dense quadrature, kept as it was before the support field.
+below is that dense quadrature, kept as it was before the support field.  A
+pure state is paired from its 1-D support; the same matrix given as
+``values`` takes the n x n path, and both must agree.
 """
 
 import math
@@ -14,7 +16,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from decodyn.bath import BathMode, BathSpec, b2, discretize_ohmic, thermal_strength
-from decodyn.model import LinearCoupling, PolynomialCoupling, QuadraticCoupling, SinusoidalCoupling
+from decodyn.model import (
+    LinearCoupling,
+    PolynomialCoupling,
+    QuadraticCoupling,
+    SinusoidalCoupling,
+    TabulatedCoupling,
+)
 from decodyn.rates import classical_rate2, quantum_rate2, rate_pair
 from decodyn.states import DensityMatrixGrid, GaussianPacket, GridSpec, SuperpositionState, build_density_matrix
 from decodyn.strongdec import compute_series, entropy_series, support_field
@@ -108,6 +116,42 @@ def test_rates_match_dense_quadrature(rho0, f, bath):
     assert quantum_rate2(rho0, f, cb, bath.hbar) == pair.quantum_rate
     if degree_at_most_two(f):
         assert pair.classical_rate == pair.quantum_rate
+
+
+@given(rho0=cat_states(), f=couplings, bath=st.sampled_from([SINGLE, OHMIC]), t_max=st.floats(0.5, 8.0))
+def test_pure_factor_matches_the_same_matrix(rho0, f, bath, t_max):
+    dense = DensityMatrixGrid(grid=rho0.grid, values=rho0.values, hbar=rho0.hbar)
+    assert rho0.psi is not None and dense.psi is None
+    ts = np.linspace(0.0, t_max, 12)
+    for side in SIDES:
+        s = entropy_series(rho0, ts, f, bath, side)
+        assert np.max(np.abs(s - entropy_series(dense, ts, f, bath, side))) <= 1e-14
+    cb = thermal_strength(bath)
+    pair, ref = rate_pair(rho0, f, cb, bath.hbar), rate_pair(dense, f, cb, bath.hbar)
+    assert pair.classical_rate == pytest.approx(ref.classical_rate, rel=1e-12)
+    assert pair.quantum_rate == pytest.approx(ref.quantum_rate, rel=1e-12)
+
+
+# tables span [-20, 20], past the reach of every cat_states grid
+TABLE_Q = np.linspace(-20.0, 20.0, 17)
+tabulated = st.builds(
+    lambda slope, bumps: TabulatedCoupling(TABLE_Q, slope * TABLE_Q + np.asarray(bumps)),
+    st.floats(0.2, 1.0),
+    st.lists(st.floats(-1.0, 1.0), min_size=TABLE_Q.size, max_size=TABLE_Q.size),
+)
+
+
+@given(rho0=cat_states(), f=st.one_of(couplings, tabulated))
+def test_quantum_integral_is_four_variances(rho0, f):
+    # for rho0 = psi psi^dagger, sum over pairs of 2 a_i a_j 2 (f_i - f_j)^2
+    # with a = h |psi|^2 is 4 (sum a) sum a (f - mean)^2, centred on the
+    # a-weighted mean
+    a = rho0.grid.spacing * np.abs(rho0.psi) ** 2
+    fq = f.eval(rho0.grid.q)
+    mean = np.dot(a, fq) / np.sum(a)
+    oracle = 4.0 * np.sum(a) * np.dot(a, (fq - mean) ** 2)
+    w, x, _ = support_field(rho0, f, "quantum")
+    assert float(np.dot(w, x)) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_mixed_state_pairs_without_assuming_purity():

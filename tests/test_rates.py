@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,6 +82,23 @@ def test_cubic_cat_quantum_dominates():
         ratios.append(rate_pair(rho, CUBIC, cb=0.5, hbar=1.0).ratio)
     assert ratios[0] < ratios[1] < ratios[2]
     assert ratios[2] > 1e3
+
+
+def test_narrow_cubic_cat_pairs_its_support_only():
+    # at width sep/640 the automatic grid has n = 8192, where an n x n rho
+    # alone would take 1.07 GB; the pure state is paired from its 1-D support
+    sep, k = 8.0, 640
+    closed_form = (k**6 + 60 * k**4 + 720 * k**2 + 960) / (18 * (k**4 + 18 * k**2 + 24))
+    tracemalloc.start()
+    try:
+        rho = build_density_matrix(SuperpositionState.symmetric_cat(sep, sep / k))
+        pair = rate_pair(rho, CUBIC, cb=0.5, hbar=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rho.grid.n_points == 8192
+    assert pair.ratio == pytest.approx(closed_form, rel=1e-12)
+    assert peak < 100e6
 
 
 def test_matched_sinusoid_classical_dominates():

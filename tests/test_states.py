@@ -86,6 +86,21 @@ def test_density_matrix_invariants_enforced():
         DensityMatrixGrid(grid=good.grid, values=skew)
 
 
+def test_pure_state_keeps_its_factor():
+    grid = GridSpec(-8.0, 8.0, 256)
+    rho = build_density_matrix(SuperpositionState.symmetric_cat(6.0, 0.5), grid=grid)
+    psi = rho.psi
+    assert psi.shape == (256,)
+    assert "values" not in vars(rho)
+    assert rho.values.tobytes() == np.outer(psi, psi.conj()).tobytes()
+    assert rho.trace() == pytest.approx(1.0, abs=1e-12)
+    for bad, match in ((psi[:-1], "entries"), (2.0 * psi, "trace"), (np.where(np.arange(256) == 9, np.nan, psi), "trace")):
+        with pytest.raises(ValueError, match=match):
+            DensityMatrixGrid(grid=grid, psi=bad)
+    with pytest.raises(ValueError, match="exactly one"):
+        DensityMatrixGrid(grid=grid, values=rho.values, psi=psi)
+
+
 def test_wigner_peak_of_ground_state():
     for hbar in (1.0, 2.0):
         sigma = np.sqrt(hbar / 2)
