@@ -21,6 +21,7 @@ periodic part, so the phase keeps winding.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,6 +43,30 @@ __all__ = [
 # row i % _STREAM_SAMPLES, so any partition of the index range over workers
 # reproduces the same draws.
 _STREAM_SAMPLES = 4096
+
+# Substreams of one call are filled on up to _WORKERS threads (numpy's Philox
+# normal fill releases the GIL) once a row holds at least _WIDE_ROW normals;
+# narrower rows are drawn serially, where the thread hand-off costs more than
+# it saves.  Callers that draw a long range take it in _CHUNK_SAMPLES pieces,
+# one substream per worker.
+_WORKERS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1, 4)
+_WIDE_ROW = 16
+_CHUNK_SAMPLES = _WORKERS * _STREAM_SAMPLES
+
+_pool = None
+_pool_pid = None
+
+
+def _thread_pool():
+    """The shared substream pool, built on first use and again after a fork
+    (a child inherits the pool object but none of its threads)."""
+    global _pool, _pool_pid
+    if _pool_pid != os.getpid():
+        from concurrent.futures import ThreadPoolExecutor
+
+        _pool = ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="decodyn-draw")
+        _pool_pid = os.getpid()
+    return _pool
 
 
 @dataclass(frozen=True)
@@ -201,26 +226,40 @@ def thermal_sample_block(bath: BathSpec, seed: int, start: int, count: int):
     distribution of the bath (the thermal Wigner distribution: independent
     zero-mean Gaussians per mode).
 
-    Returns (q, p) arrays of shape (count, n_modes).  The draw for a given
-    (seed, index) never depends on how the index range is partitioned, so
-    parallel workers can split ranges freely and merge in index order.
+    Returns (q, p), the column views block[:, :n] and block[:, n:] of one
+    (count, 2 n_modes) block, so each has shape (count, n_modes).  The draw
+    for a given (seed, index) never depends on how the index range is
+    partitioned, nor on how many threads fill it, so parallel workers can
+    split ranges freely and merge in index order.  A substream that lies
+    wholly inside the range is drawn straight into its rows of the block and
+    scaled there; a partial first or last one goes through a scratch draw.
     """
     if count < 0 or start < 0:
         raise ValueError("start and count must be nonnegative")
     n = bath.n_modes
-    q = np.empty((count, n))
-    p = np.empty((count, n))
-    q_std, p_std = _thermal_widths(bath)
+    block = np.empty((count, 2 * n))
+    widths = np.concatenate(_thermal_widths(bath))
     first = start // _STREAM_SAMPLES
     last = (start + count - 1) // _STREAM_SAMPLES if count else first - 1
-    for stream in range(first, last + 1):
+
+    def fill(stream: int) -> None:
         gen = np.random.Generator(np.random.Philox(key=seed).jumped(stream))
-        z = gen.standard_normal((_STREAM_SAMPLES, 2 * n))
         lo = max(start, stream * _STREAM_SAMPLES)
         hi = min(start + count, (stream + 1) * _STREAM_SAMPLES)
-        rows = slice(lo - stream * _STREAM_SAMPLES, hi - stream * _STREAM_SAMPLES)
-        out = slice(lo - start, hi - start)
-        q[out] = z[rows, :n] * q_std
-        p[out] = z[rows, n:] * p_std
-    return q, p
+        out = block[lo - start : hi - start]
+        if hi - lo == _STREAM_SAMPLES:
+            gen.standard_normal(out=out)
+            out *= widths
+        else:
+            z = gen.standard_normal((_STREAM_SAMPLES, 2 * n))
+            rows = slice(lo - stream * _STREAM_SAMPLES, hi - stream * _STREAM_SAMPLES)
+            np.multiply(z[rows], widths, out=out)
 
+    streams = range(first, last + 1)
+    if _WORKERS > 1 and len(streams) > 1 and 2 * n >= _WIDE_ROW:
+        # list() waits for every fill and re-raises the first failure
+        list(_thread_pool().map(fill, streams))
+    else:
+        for stream in streams:
+            fill(stream)
+    return block[:, :n], block[:, n:]

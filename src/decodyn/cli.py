@@ -69,13 +69,16 @@ class Scenario:
 
 # Sizes read from a config are capped before anything is allocated: the
 # kernels b1, b2 and b2_dot each build an n_steps x n_modes array, the MC
-# oracle an n_samples-long complex array and the Fock oracle dense
-# (2 n_levels)^2 matrices.
+# oracle an n_samples-long complex array and one 4096 x 2 n_modes block per
+# sampling thread, the Fock oracle dense (2 n_levels)^2 matrices, and every
+# state grid its 1-D arrays of n_points.
 _MAX_TIME_STEPS = 100_000
 _MAX_BATH_MODES = 100_000
 _MAX_KERNEL_CELLS = 10_000_000
 _MAX_MC_SAMPLES = 10_000_000
+_MAX_MC_MODES = 1024
 _MAX_FOCK_LEVELS = 512
+_MAX_GRID_POINTS = 2**20
 
 
 @contextmanager
@@ -218,12 +221,13 @@ def _parse_state(cfg: dict) -> tuple[SuperpositionState, GridSpec | None]:
     grid = None
     if "grid" in raw:
         g = _get(raw, "grid", "state", dict, required=True)
+        q_min = _get(g, "q_min", "state.grid", float, required=True)
+        q_max = _get(g, "q_max", "state.grid", float, required=True)
+        n_points = _get(g, "n_points", "state.grid", int, required=True)
+        if n_points > _MAX_GRID_POINTS:
+            raise ConfigError(f"state.grid.n_points: must be at most {_MAX_GRID_POINTS}, got {n_points}")
         with _field("state.grid"):
-            grid = GridSpec(
-                q_min=_get(g, "q_min", "state.grid", float, required=True),
-                q_max=_get(g, "q_max", "state.grid", float, required=True),
-                n_points=_get(g, "n_points", "state.grid", int, required=True),
-            )
+            grid = GridSpec(q_min=q_min, q_max=q_max, n_points=n_points)
     return SuperpositionState(packets=tuple(packets)), grid
 
 
@@ -274,6 +278,10 @@ def _parse_oracle(cfg: dict, bath: BathSpec) -> dict | None:
             raise ConfigError(
                 f"oracle.mc.n_samples: must be a multiple of 100 in [1000, {_MAX_MC_SAMPLES}], got {n_samples}"
             )
+        if bath.n_modes > _MAX_MC_MODES:
+            raise ConfigError(
+                f"oracle.mc: the trajectory ensemble samples at most {_MAX_MC_MODES} bath modes, got {bath.n_modes}"
+            )
         out["mc"] = {"times": times, "n_samples": n_samples}
     if "fock" in raw:
         fk = _get(raw, "fock", "oracle", dict, required=True)
@@ -289,14 +297,22 @@ def _parse_oracle(cfg: dict, bath: BathSpec) -> dict | None:
     return out
 
 
-def _check_table_covers(scn: Scenario, grid: GridSpec) -> None:
+def _cover(state: SuperpositionState, path: str) -> GridSpec:
+    """The automatic grid of state, refused past the grid-size cap.  It is
+    sized from the packets alone; no array is built here."""
+    with _field(path):
+        grid = GridSpec.cover(state)
+    if grid.n_points > _MAX_GRID_POINTS:
+        raise ConfigError(
+            f"{path}: the automatic grid needs {grid.n_points} points, more than {_MAX_GRID_POINTS}; "
+            "widen the narrowest packet or give an explicit grid"
+        )
+    return grid
+
+
+def _check_table_covers(scn: Scenario, grids: list[GridSpec]) -> None:
     """Refuse a table that ends inside the run's domain: the state's grid, the
     grid of the widest cat of a separation scan and the probe."""
-    grids = [grid]
-    if scn.scan is not None and scn.scan["kind"] == "separation":
-        with _field("scan"):
-            widest = SuperpositionState.symmetric_cat(scn.scan["separations"][-1], scn.scan["sigma"])
-            grids.append(GridSpec.cover(widest))
     points = [*(scn.probe or _default_probe(scn.state)), *(q for g in grids for q in (g.q_min, g.q_max))]
     lo, hi = scn.coupling.q_grid[0], scn.coupling.q_grid[-1]
     if not lo <= min(points) <= max(points) <= hi:
@@ -315,10 +331,10 @@ def parse_config(cfg: dict) -> Scenario:
     bath = _parse_bath(cfg, model)
     coupling = _parse_coupling(cfg)
     state, grid = _parse_state(cfg)
-    # GridSpec.cover builds no array, but fails on widths and spans beyond
-    # the float range; refuse those here rather than when the run starts
-    with _field("state"):
-        domain = grid or GridSpec.cover(state)
+    # GridSpec.cover fails on widths and spans beyond the float range, and
+    # may ask for more points than the cap; refuse those here rather than
+    # when the run starts
+    grids = [grid or _cover(state, "state")]
     times = _parse_times(cfg, bath.n_modes)
     probe = None
     if "probe" in cfg:
@@ -340,8 +356,12 @@ def parse_config(cfg: dict) -> Scenario:
         oracle=_parse_oracle(cfg, bath),
         seed=_get(cfg, "seed", "config", int, default=0),
     )
+    if scn.scan is not None and scn.scan["kind"] == "separation":
+        with _field("scan"):
+            widest = SuperpositionState.symmetric_cat(scn.scan["separations"][-1], scn.scan["sigma"])
+        grids.append(_cover(widest, "scan"))
     if isinstance(coupling, TabulatedCoupling):
-        _check_table_covers(scn, domain)
+        _check_table_covers(scn, grids)
     return scn
 
 

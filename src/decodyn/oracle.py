@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import BathSpec, _STREAM_SAMPLES, _one_minus_cos, _x_minus_sin, thermal_sample_block
+from .bath import BathSpec, _CHUNK_SAMPLES, _one_minus_cos, _x_minus_sin, thermal_sample_block
 from .model import CouplingFunction
 
 __all__ = [
@@ -100,8 +100,8 @@ def mc_classical_factor(
     theta0 = -lam * fbar * float(np.sum(c * c * _x_minus_sin(x) / (m * w**3)))
 
     z = np.empty(n_samples, dtype=complex)
-    for s0 in range(0, n_samples, _STREAM_SAMPLES):
-        cnt = min(_STREAM_SAMPLES, n_samples - s0)
+    for s0 in range(0, n_samples, _CHUNK_SAMPLES):
+        cnt = min(_CHUNK_SAMPLES, n_samples - s0)
         qs, ps = thermal_sample_block(bath, seed, s0, cnt)
         theta = qs @ coef_q + ps @ coef_p
         z[s0 : s0 + cnt] = np.exp(-1j * (theta + theta0))

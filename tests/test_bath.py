@@ -1,8 +1,13 @@
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from decodyn import bath as bath_module
+from decodyn import oracle as oracle_module
 from decodyn.bath import (
     BathMode,
     BathSpec,
@@ -13,6 +18,7 @@ from decodyn.bath import (
     thermal_sample_block,
     thermal_strength,
 )
+from decodyn.model import PolynomialCoupling
 
 
 def single_mode(m=1.0, omega=1.0, c=1.0, beta=math.inf, hbar=1.0):
@@ -170,3 +176,70 @@ def test_sampling_reproducible_and_partition_invariant():
     qc, _ = thermal_sample_block(bath, seed=9, start=4095, count=10)
     np.testing.assert_array_equal(qc, q1[4095:4105])
 
+
+STREAM = bath_module._STREAM_SAMPLES
+
+
+def _with_workers(workers, fn, *args):
+    """fn(*args) with the sampler's worker count set to workers and the MC
+    chunk to one substream per worker, as on a host with that many cores."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bath_module, "_WORKERS", workers)
+        mp.setattr(oracle_module, "_CHUNK_SAMPLES", workers * STREAM)
+        return fn(*args)
+
+
+@st.composite
+def sample_ranges(draw):
+    """(start, count, split) with the range over at most 5 substreams."""
+    start = draw(st.integers(0, 5 * STREAM))
+    count = draw(st.integers(0, 5 * STREAM - start % STREAM))
+    return start, count, draw(st.integers(0, count))
+
+
+@given(n_modes=st.integers(8, 64), seed=st.integers(0, 2**32 - 1), ranges=sample_ranges())
+def test_sampling_bytes_do_not_depend_on_threads_or_split(n_modes, seed, ranges):
+    start, count, split = ranges
+    bath = discretize_ohmic(0.5, 1.0, n_modes, 3.0, beta=1.0)
+    q1, p1 = _with_workers(1, thermal_sample_block, bath, seed, start, count)
+    q2, p2 = _with_workers(2, thermal_sample_block, bath, seed, start, count)
+    assert q1.shape == p1.shape == q2.shape == p2.shape == (count, n_modes)
+    assert q1.tobytes() == q2.tobytes() and p1.tobytes() == p2.tobytes()
+    qa, pa = _with_workers(2, thermal_sample_block, bath, seed, start, split)
+    qb, pb = _with_workers(2, thermal_sample_block, bath, seed, start + split, count - split)
+    assert np.vstack([qa, qb]).tobytes() == q1.tobytes()
+    assert np.vstack([pa, pb]).tobytes() == p1.tobytes()
+
+
+def _mc_50_modes(seed=11):
+    bath = discretize_ohmic(0.25, 1.0, 50, 5.0, beta=2.0)
+    f = PolynomialCoupling((0.0, 1.0, 0.0, 0.05))
+    return oracle_module.mc_classical_factor(2.0, -1.0, 0.8, f, bath, 20_000, seed)
+
+
+def test_mc_bytes_do_not_depend_on_threads():
+    assert _with_workers(1, _mc_50_modes) == _with_workers(2, _mc_50_modes)
+
+
+def _mc_in_child(results):
+    results.put(_mc_50_modes())
+
+
+def test_mc_runs_in_a_forked_child(monkeypatch):
+    # the parent's pool threads do not exist in a fork; the child must not
+    # hand its substreams to them
+    monkeypatch.setattr(bath_module, "_WORKERS", 2)
+    monkeypatch.setattr(oracle_module, "_CHUNK_SAMPLES", 2 * STREAM)
+    expected = _mc_50_modes()
+    ctx = multiprocessing.get_context("fork")
+    results = ctx.Queue()
+    child = ctx.Process(target=_mc_in_child, args=(results,))
+    child.start()
+    try:
+        got = results.get(timeout=60)
+    finally:
+        child.join(5)
+        if child.is_alive():
+            child.kill()
+    assert got == expected
+    assert child.exitcode == 0

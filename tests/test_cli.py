@@ -17,6 +17,7 @@ from decodyn.model import (
     SinusoidalCoupling,
     TabulatedCoupling,
 )
+from decodyn.states import GridSpec
 
 REQUIRED_PRESETS = {
     "linear",
@@ -40,6 +41,18 @@ def read_csv(path):
 OHMIC = {"eta": 0.25, "omega_c": 1.0, "n_modes": 8, "omega_max": 5.0}
 TABLE = {"variant": "tabulated", "q": [-5, -1, 1, 5], "values": [-5, -1, 1, 5]}
 SMALL_STATE = {"packets": [{"center_q": 0.0, "sigma": 0.1}]}
+
+
+GRID_OVER_CAP = {"q_min": -5.0, "q_max": 5.0, "n_points": cli._MAX_GRID_POINTS + 1}
+
+
+def _cat_of_width(sigma):
+    return {
+        "packets": [
+            {"center_q": -4.0, "sigma": sigma},
+            {"center_q": 4.0, "sigma": sigma},
+        ]
+    }
 
 
 def small_config(**overrides):
@@ -380,6 +393,15 @@ def test_non_finite_numbers_rejected(tmp_path, capsys, overrides, field):
         # the automatic grid of these states is refused when parsed
         ({"state": {"packets": [{"center_q": 0.0, "sigma": 5e-324}]}}, "state"),
         ({"state": {"packets": [{"center_q": 1e308, "sigma": 0.5}]}}, "state"),
+        # grids over the size cap: explicit, automatic and the widest scan cat
+        (
+            {"state": {"packets": [{"center_q": 0.0, "sigma": 0.5}], "grid": GRID_OVER_CAP}},
+            "state.grid.n_points",
+        ),
+        ({"state": _cat_of_width(1e-7)}, "state"),
+        ({"scan": {"separations": [1.0, 8.0], "sigma": 1e-7}}, "scan"),
+        # the MC oracle draws one substream block of 2 normals per mode
+        ({"bath": {"ohmic": dict(OHMIC, n_modes=cli._MAX_MC_MODES + 1)}, "oracle": {"mc": {"times": [1.0]}}}, "oracle.mc"),
     ],
 )
 def test_config_errors_name_the_field_once(overrides, field):
@@ -389,6 +411,31 @@ def test_config_errors_name_the_field_once(overrides, field):
     message = str(err.value)
     assert message.startswith(f"{field}: ")
     assert message.count(field) == 1
+
+
+def test_grid_cap_edges(tmp_path, capsys):
+    # the automatic grid is a power of two: 2^20 points at the cap, 2^21 just past it
+    at_cap = parse_config(small_config(state=_cat_of_width(8.0 / 131_000)))
+    assert GridSpec.cover(at_cap.state).n_points == cli._MAX_GRID_POINTS
+    explicit = small_config(state={"packets": [{"center_q": 0.0, "sigma": 0.5}], "grid": dict(GRID_OVER_CAP)})
+    explicit["state"]["grid"]["n_points"] = cli._MAX_GRID_POINTS
+    assert parse_config(explicit).grid.n_points == cli._MAX_GRID_POINTS
+    for state, field in (
+        (_cat_of_width(8.0 / 131_100), "state: "),
+        ({"packets": [{"center_q": 0.0, "sigma": 0.5}], "grid": GRID_OVER_CAP}, "state.grid.n_points: "),
+    ):
+        path = tmp_path / "fine.json"
+        path.write_text(json.dumps(small_config(state=state)))
+        assert main(["validate", str(path)]) == 2
+        assert f"config error: {field}" in capsys.readouterr().err
+
+
+def test_mc_mode_cap_edge():
+    bath = {"ohmic": dict(OHMIC, n_modes=cli._MAX_MC_MODES)}
+    assert parse_config(small_config(bath=bath, oracle={"mc": {"times": [1.0]}})).bath.n_modes == cli._MAX_MC_MODES
+    # the cap is on the sampled width only; without the MC oracle the bath may be wider
+    bath = {"ohmic": dict(OHMIC, n_modes=cli._MAX_MC_MODES + 1)}
+    assert parse_config(small_config(bath=bath)).bath.n_modes == cli._MAX_MC_MODES + 1
 
 
 def _refuse(*args, **kwargs):
