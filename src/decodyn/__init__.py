@@ -26,10 +26,8 @@ from .model import (
 from .oracle import FockConfig, McEstimate, fock_quantum_factor, mc_classical_factor, short_time_fit
 from .rates import (
     RatePair,
-    classical_rate2,
     hbar_scan,
     linear_closed_form,
-    quantum_rate2,
     rate_pair,
     separation_scan,
 )
@@ -52,8 +50,6 @@ from .strongdec import (
     DecoherenceSeries,
     classical_factor,
     compute_series,
-    entropy_classical,
-    entropy_quantum,
     entropy_series,
     gamma,
     quantum_factor,
@@ -89,8 +85,6 @@ __all__ = [
     "wigner_purity",
     "position_variance",
     "RatePair",
-    "classical_rate2",
-    "quantum_rate2",
     "rate_pair",
     "linear_closed_form",
     "separation_scan",
@@ -100,8 +94,6 @@ __all__ = [
     "classical_factor",
     "quantum_factor",
     "gamma",
-    "entropy_classical",
-    "entropy_quantum",
     "entropy_series",
     "compute_series",
     "McEstimate",

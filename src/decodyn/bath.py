@@ -186,32 +186,30 @@ def _one_minus_cos(x: np.ndarray) -> np.ndarray:
     return 2.0 * s * s
 
 
-def b1(bath: BathSpec, t) -> float | np.ndarray:
-    """Coherent-phase kernel.  b1(0) = 0; grows ~ t^3 at short times."""
+def _kernel(bath: BathSpec, t, weight: np.ndarray, term) -> float | np.ndarray:
+    """sum_j weight_j term(w_j t) over the modes; a float for a scalar t."""
     ts = np.asarray(t, dtype=float)
     x = np.multiply.outer(ts, bath.omegas)
-    weight = bath.couplings**2 / (bath.masses * bath.omegas**3)
-    out = np.sum(weight * _x_minus_sin(x), axis=-1)
+    out = np.sum(weight * term(x), axis=-1)
     return float(out) if ts.ndim == 0 else out
+
+
+def b1(bath: BathSpec, t) -> float | np.ndarray:
+    """Coherent-phase kernel.  b1(0) = 0; grows ~ t^3 at short times."""
+    return _kernel(bath, t, bath.couplings**2 / (bath.masses * bath.omegas**3), _x_minus_sin)
 
 
 def b2(bath: BathSpec, t) -> float | np.ndarray:
     """Decay kernel; nonnegative, and zero only where every mode has
     w_j t = 0 mod 2*pi or C_j = 0."""
-    ts = np.asarray(t, dtype=float)
-    x = np.multiply.outer(ts, bath.omegas)
     weight = bath.couplings**2 * bath.coth_factors / (2.0 * bath.masses * bath.hbar * bath.omegas**3)
-    out = np.sum(weight * _one_minus_cos(x), axis=-1)
-    return float(out) if ts.ndim == 0 else out
+    return _kernel(bath, t, weight, _one_minus_cos)
 
 
 def b2_dot(bath: BathSpec, t) -> float | np.ndarray:
     """Time derivative of b2 (term-by-term analytic)."""
-    ts = np.asarray(t, dtype=float)
-    x = np.multiply.outer(ts, bath.omegas)
     weight = bath.couplings**2 * bath.coth_factors / (2.0 * bath.masses * bath.hbar * bath.omegas**2)
-    out = np.sum(weight * np.sin(x), axis=-1)
-    return float(out) if ts.ndim == 0 else out
+    return _kernel(bath, t, weight, np.sin)
 
 
 def _thermal_widths(bath: BathSpec) -> tuple[np.ndarray, np.ndarray]:

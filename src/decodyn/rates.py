@@ -7,11 +7,12 @@ Both rates share one quadrature over the initial density matrix,
 
 with g = df/dQ for the classical rate and g = [f(Q1)-f(Q2)]/(Q1-Q2) for the
 quantum rate, and cb = thermal_strength(bath).  The rate is the t^2
-coefficient of the linear entropy, so it reads the entropy's support field
-(``strongdec.support_field``): weights w and exponents x = 2 (Q1-Q2)^2 g^2
-on the mirror-paired support of rho.  The ratio quantum/classical is
-therefore independent of hbar and of the bath for a fixed initial matrix;
-it equals 1 exactly for f = a*Q + b*Q**2, where one field serves both sides.
+coefficient of the linear entropy, so it reads the entropy's support field:
+weights w on the mirror-paired support of rho
+(``DensityMatrixGrid.support()``) and exponents x = 2 (Q1-Q2)^2 g^2.  The
+ratio quantum/classical is therefore independent of hbar and of the bath
+for a fixed initial matrix; it equals 1 exactly for f = a*Q + b*Q**2, where
+one field serves both sides.
 
 The field depends only on rho0 and f, so results are deterministic for a
 given grid.
@@ -32,8 +33,6 @@ from .strongdec import quotient_is_slope, support_field
 
 __all__ = [
     "RatePair",
-    "classical_rate2",
-    "quantum_rate2",
     "rate_pair",
     "linear_closed_form",
     "separation_scan",
@@ -77,14 +76,6 @@ def _integrals(rho0: DensityMatrixGrid, f: CouplingFunction) -> tuple[float, flo
 def _pair(integrals: tuple[float, float], cb: float, hbar: float) -> RatePair:
     pref = cb / (2.0 * hbar)
     return RatePair.from_rates(pref * integrals[0], pref * integrals[1])
-
-
-def classical_rate2(rho0: DensityMatrixGrid, f: CouplingFunction, cb: float, hbar: float) -> float:
-    return cb / (2.0 * hbar) * _integral(rho0, f, "classical")
-
-
-def quantum_rate2(rho0: DensityMatrixGrid, f: CouplingFunction, cb: float, hbar: float) -> float:
-    return cb / (2.0 * hbar) * _integral(rho0, f, "quantum")
 
 
 def rate_pair(rho0: DensityMatrixGrid, f: CouplingFunction, cb: float, hbar: float) -> RatePair:

@@ -151,6 +151,10 @@ class GridSpec:
 _HERMITICITY_TOL = 1e-12
 _TRACE_TOL = 1e-8
 _DIAG_TOL = 1e-12
+# total weight the entropy and rate quadratures may drop from the grid
+_DROPPED_MASS = 1e-17
+# cells of one row chunk of the pure-state pairing
+_CHUNK_CELLS = 1 << 20
 
 
 def _check_trace(tr: float) -> None:
@@ -205,7 +209,64 @@ class DensityMatrixGrid:
         return np.outer(self.psi, self.psi.conj())
 
     def trace(self) -> float:
-        return float(np.sum(np.diagonal(self.values).real)) * self.grid.spacing
+        return float(np.sum(_diagonal(self))) * self.grid.spacing
+
+    def support(self):
+        """Mirror pairs of the support of |rho|^2, the quadrature nodes of
+        the entropies and rates.
+
+        Returns ``(dq, qbar, w, defect)``: the offset Q1-Q2, the midpoint and
+        the summed weight h^2 (|rho|^2 + mirror) of every kept cell above
+        the diagonal, in row-major order, and the purity defect
+        sum(h^2 |rho|^2) - 1 of the full grid.  Pairs whose summed weight is
+        below 1e-17/n^2 are dropped, 1e-17 of weight in total.  A pure state
+        pairs the 1-D support of a = h |psi|^2, since h^2 |rho|^2 =
+        a(Q1) a(Q2): the same pairs, without an n x n array.
+        """
+        cut = _DROPPED_MASS / self.grid.n_points**2
+        if self.psi is None:
+            h = self.grid.spacing
+            w = np.abs(self.values)
+            w *= w
+            w *= h * h
+            defect = float(np.sum(w)) - 1.0
+            w = w + w.T
+            i, j = np.nonzero(np.triu(w >= cut, 1))
+            w = w[i, j]
+        else:
+            i, j, w, defect = _pure_pairs(self.psi, self.grid.spacing, cut)
+        q = self.grid.q
+        return q[i] - q[j], 0.5 * (q[i] + q[j]), w, defect
+
+
+def _pure_pairs(psi: np.ndarray, h: float, cut: float):
+    """Pairs i < j of a pure state, whose weight 2 a_i a_j (a = h |psi|^2) is
+    at least cut, in row-major order, with their weights and the defect
+    (sum a)^2 - 1.  Only cells with 2 a_i max(a) >= cut can be in a pair, so
+    the rows are taken in chunks over those cells alone."""
+    a = np.abs(psi)
+    a *= a
+    a *= h
+    total = float(np.sum(a))
+    cells = np.flatnonzero(2.0 * a * a.max() >= cut)
+    b = a[cells]
+    step = max(1, _CHUNK_CELLS // b.size)
+    i, j, w = [], [], []
+    for r in range(0, b.size, step):
+        prod = 2.0 * b[r : r + step, None] * b[None, r:]
+        keep = np.triu(prod >= cut, 1)
+        rows, cols = np.nonzero(keep)
+        i.append(cells[rows + r])
+        j.append(cells[cols + r])
+        w.append(prod[keep])
+    return np.concatenate(i), np.concatenate(j), np.concatenate(w), total * total - 1.0
+
+
+def _diagonal(rho: DensityMatrixGrid) -> np.ndarray:
+    """Real diagonal rho(Q, Q); read from psi alone for a pure state."""
+    if rho.psi is None:
+        return np.diagonal(rho.values).real
+    return (rho.psi * rho.psi.conj()).real
 
 
 @dataclass(frozen=True)
@@ -268,7 +329,7 @@ def purity(rho: DensityMatrixGrid) -> float:
 def position_variance(rho: DensityMatrixGrid) -> float:
     """Variance of the diagonal position distribution."""
     q = rho.grid.q
-    d = np.diagonal(rho.values).real
+    d = _diagonal(rho)
     norm = np.trapezoid(d, q)
     mean = np.trapezoid(d * q, q) / norm
     return float(np.trapezoid(d * (q - mean) ** 2, q) / norm)

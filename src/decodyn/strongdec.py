@@ -23,14 +23,12 @@ underflows.  The diagonal is untouched (g weight carries (Q1-Q2)^2), so the
 trace is conserved exactly and a single-mode bath recoheres fully at
 t = 2*pi/omega.
 
-The entropy quadrature runs on the support of rho0 only.  The exponent
-x = 2 (Q1-Q2)^2 g^2 is exactly symmetric under Q1 <-> Q2 and zero on the
-diagonal, so each cell above the diagonal is paired with its mirror image
-and carries their summed weight.  Pairs whose summed weight is below
-1e-17/n^2 are dropped; since |expm1(-x b2)| <= 1, the dropped mass, below
-1e-17 in total, bounds the change in S(t).  A pure state pairs the 1-D
-support of a = h |psi|^2, since h^2 |rho0|^2 = a(Q1) a(Q2): the same pairs,
-without an n x n array.  For a polynomial coupling of degree <= 2 the
+The entropy quadrature runs on the mirror-paired support of rho0,
+``DensityMatrixGrid.support()``: the exponent x = 2 (Q1-Q2)^2 g^2 is exactly
+symmetric under Q1 <-> Q2 and zero on the diagonal, so each cell above the
+diagonal carries the summed weight of itself and its mirror.  The support
+drops at most 1e-17 of weight, and since |expm1(-x b2)| <= 1 that bounds
+the change in S(t).  For a polynomial coupling of degree <= 2 the
 difference quotient is f'(Qbar) exactly, so the quantum side uses the slope
 and the entropy is evaluated once for both sides.
 """
@@ -51,8 +49,6 @@ __all__ = [
     "classical_factor",
     "quantum_factor",
     "gamma",
-    "entropy_classical",
-    "entropy_quantum",
     "entropy_series",
     "compute_series",
 ]
@@ -70,22 +66,22 @@ class DecoherenceFactor:
         return np.exp(self.log_modulus + 1j * self.phase)
 
 
-# total weight the entropy and rate quadratures may drop from the grid
-_DROPPED_MASS = 1e-17
-
-
 def quotient_is_slope(f: CouplingFunction) -> bool:
     """True when the difference quotient of f equals f'(Qbar) exactly, which
     holds for polynomials of degree <= 2."""
     return isinstance(f, PolynomialCoupling) and f.degree <= 2
 
 
-def _weight(f: CouplingFunction, qbar, dq, side: str):
+def _decay(f: CouplingFunction, qbar, dq, side: str):
+    """(g, (Q1-Q2)^2 g^2): the weight and the decay coefficient of
+    log_modulus = -(Q1-Q2)^2 g^2 b2."""
     if side not in ("classical", "quantum"):
         raise ValueError(f"side must be 'classical' or 'quantum', got {side!r}")
     if side == "classical" or quotient_is_slope(f):
-        return f.slope(qbar)
-    return f.finite_difference(qbar, dq)
+        g = f.slope(qbar)
+    else:
+        g = f.finite_difference(qbar, dq)
+    return g, dq**2 * g**2
 
 
 def _coefficients(q1, q2, f: CouplingFunction, side: str):
@@ -93,8 +89,8 @@ def _coefficients(q1, q2, f: CouplingFunction, side: str):
     coefficients of log_modulus = -decay*b2 and phase = drive*b1/hbar."""
     dq = q1 - q2
     qbar = 0.5 * (q1 + q2)
-    g = _weight(f, qbar, dq, side)
-    return dq**2 * g**2, dq * f.eval(qbar) * g
+    g, decay = _decay(f, qbar, dq, side)
+    return decay, dq * f.eval(qbar) * g
 
 
 def _factor_parts(q1, q2, t, f: CouplingFunction, bath: BathSpec, side: str):
@@ -123,56 +119,12 @@ def gamma(q1: float, q2: float, t, f: CouplingFunction, bath: BathSpec, side: st
 def support_field(rho0: DensityMatrixGrid, f: CouplingFunction, side: str):
     """Entropy quadrature terms on the support of rho0.
 
-    Returns ``(w, x, defect)``: the summed weight h^2 (|rho0|^2 + mirror) and
-    the exponent 2 (Q1-Q2)^2 g^2 of every kept cell above the diagonal, in
-    row-major order, and the purity defect sum(h^2 |rho0|^2) - 1 of the full
-    grid.  A pure state is paired from its 1-D support, without an n x n
-    array.
+    Returns ``(w, x, defect)``: the pair weights and purity defect of
+    ``rho0.support()`` and the exponent x = 2 (Q1-Q2)^2 g^2 of every pair.
     """
-    n = rho0.grid.n_points
-    cut = _DROPPED_MASS / n**2
-    if rho0.psi is None:
-        h = rho0.grid.spacing
-        w = np.abs(rho0.values)
-        w *= w
-        w *= h * h
-        defect = float(np.sum(w)) - 1.0
-        w = w + w.T
-        i, j = np.nonzero(np.triu(w >= cut, 1))
-        w = w[i, j]
-    else:
-        i, j, w, defect = _pure_pairs(rho0, cut)
-    q = rho0.grid.q
-    dq = q[i] - q[j]
-    g = _weight(f, 0.5 * (q[i] + q[j]), dq, side)
-    return w, 2.0 * dq**2 * g**2, defect
-
-
-# cells of one row chunk of the pure-state pairing
-_CHUNK_CELLS = 1 << 20
-
-
-def _pure_pairs(rho0: DensityMatrixGrid, cut: float):
-    """Pairs i < j of a pure state, whose weight 2 a_i a_j (a = h |psi|^2) is
-    at least cut, in row-major order, with their weights and the defect
-    (sum a)^2 - 1.  Only cells with 2 a_i max(a) >= cut can be in a pair, so
-    the rows are taken in chunks over those cells alone."""
-    a = np.abs(rho0.psi)
-    a *= a
-    a *= rho0.grid.spacing
-    total = float(np.sum(a))
-    cells = np.flatnonzero(2.0 * a * a.max() >= cut)
-    b = a[cells]
-    step = max(1, _CHUNK_CELLS // b.size)
-    i, j, w = [], [], []
-    for r in range(0, b.size, step):
-        prod = 2.0 * b[r : r + step, None] * b[None, r:]
-        keep = np.triu(prod >= cut, 1)
-        rows, cols = np.nonzero(keep)
-        i.append(cells[rows + r])
-        j.append(cells[cols + r])
-        w.append(prod[keep])
-    return np.concatenate(i), np.concatenate(j), np.concatenate(w), total * total - 1.0
+    dq, qbar, w, defect = rho0.support()
+    _, decay = _decay(f, qbar, dq, side)
+    return w, 2.0 * decay, defect
 
 
 def entropy_series(rho0: DensityMatrixGrid, times, f: CouplingFunction, bath: BathSpec, side: str) -> np.ndarray:
@@ -194,14 +146,20 @@ def entropy_series(rho0: DensityMatrixGrid, times, f: CouplingFunction, bath: Ba
     return out
 
 
-def entropy_classical(rho0: DensityMatrixGrid, t, f: CouplingFunction, bath: BathSpec):
-    s = entropy_series(rho0, np.asarray(t, dtype=float), f, bath, "classical")
-    return float(s[0]) if np.ndim(t) == 0 else s
-
-
-def entropy_quantum(rho0: DensityMatrixGrid, t, f: CouplingFunction, bath: BathSpec):
-    s = entropy_series(rho0, np.asarray(t, dtype=float), f, bath, "quantum")
-    return float(s[0]) if np.ndim(t) == 0 else s
+# (CSV column, DecoherenceSeries field), in column order
+_COLUMN_FIELDS = (
+    ("t", "times"),
+    ("B1", "b1"),
+    ("B2", "b2"),
+    ("gamma_c", "gamma_c"),
+    ("gamma_q", "gamma_q"),
+    ("S_c", "s_c"),
+    ("S_q", "s_q"),
+    ("phase_c", "phase_c"),
+    ("phase_q", "phase_q"),
+    ("logmod_c", "logmod_c"),
+    ("logmod_q", "logmod_q"),
+)
 
 
 @dataclass(frozen=True)
@@ -221,34 +179,10 @@ class DecoherenceSeries:
     logmod_q: np.ndarray
     probe: tuple[float, float]
 
-    COLUMNS = (
-        "t",
-        "B1",
-        "B2",
-        "gamma_c",
-        "gamma_q",
-        "S_c",
-        "S_q",
-        "phase_c",
-        "phase_q",
-        "logmod_c",
-        "logmod_q",
-    )
+    COLUMNS = tuple(column for column, _ in _COLUMN_FIELDS)
 
     def rows(self):
-        return zip(
-            self.times,
-            self.b1,
-            self.b2,
-            self.gamma_c,
-            self.gamma_q,
-            self.s_c,
-            self.s_q,
-            self.phase_c,
-            self.phase_q,
-            self.logmod_c,
-            self.logmod_q,
-        )
+        return zip(*(getattr(self, field) for _, field in _COLUMN_FIELDS))
 
 
 def compute_series(

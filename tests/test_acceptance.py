@@ -14,14 +14,7 @@ from decodyn.bath import BathMode, BathSpec, b2, discretize_ohmic, thermal_stren
 from decodyn.cli import parse_config, preset_config
 from decodyn.model import LinearCoupling, PolynomialCoupling, QuadraticCoupling, SinusoidalCoupling
 from decodyn.oracle import fock_quantum_factor, mc_classical_factor, short_time_fit
-from decodyn.rates import (
-    classical_rate2,
-    hbar_scan,
-    linear_closed_form,
-    quantum_rate2,
-    rate_pair,
-    separation_scan,
-)
+from decodyn.rates import hbar_scan, linear_closed_form, rate_pair, separation_scan
 from decodyn.states import (
     SuperpositionState,
     build_density_matrix,
@@ -31,7 +24,7 @@ from decodyn.states import (
     wigner_purity,
     wigner_transform,
 )
-from decodyn.strongdec import compute_series, entropy_classical, entropy_quantum
+from decodyn.strongdec import compute_series, entropy_series
 
 SINGLE = BathSpec(modes=(BathMode(1.0, 1.0, 1.0),))
 OHMIC = discretize_ohmic(0.25, 1.0, 50, 5.0, beta=2.0)
@@ -80,7 +73,7 @@ def test_criterion_02_linear_closed_form_cross_check():
     worst = 0.0
     for sigma, bath in combos:
         rho = build_density_matrix(SuperpositionState.single(sigma), hbar=bath.hbar)
-        got = quantum_rate2(rho, LinearCoupling(1.0), thermal_strength(bath), bath.hbar)
+        got = rate_pair(rho, LinearCoupling(1.0), thermal_strength(bath), bath.hbar).quantum_rate
         expected = linear_closed_form(position_variance(rho), bath)
         worst = max(worst, abs(got - expected) / expected)
     budget.finish(worst < 1e-6, f"worst rel err {worst:.1e}")
@@ -184,12 +177,9 @@ def test_criterion_07_zero_first_order_rate():
     worst_linear = worst_quad = 0.0
     for f, sigma in cases:
         rho = build_density_matrix(SuperpositionState.symmetric_cat(8.0, sigma))
-        for entropy, rate in (
-            (entropy_quantum, quantum_rate2),
-            (entropy_classical, classical_rate2),
-        ):
-            c1, c2 = short_time_fit(times, entropy(rho, times, f, OHMIC), window)
-            expected = rate(rho, f, cb, OHMIC.hbar)
+        pair = rate_pair(rho, f, cb, OHMIC.hbar)
+        for side, expected in (("quantum", pair.quantum_rate), ("classical", pair.classical_rate)):
+            c1, c2 = short_time_fit(times, entropy_series(rho, times, f, OHMIC, side), window)
             worst_linear = max(worst_linear, abs(c1) / (abs(c2) * window))
             worst_quad = max(worst_quad, abs(c2 - expected) / expected)
     ok = worst_linear < 1e-10 and worst_quad < 1e-4
@@ -265,7 +255,7 @@ def test_criterion_11_entropy_plateau_matches_two_gaussian_quadrature():
     rho = build_density_matrix(SuperpositionState.symmetric_cat(sep, sigma))
     f = LinearCoupling(1.0)
     t_star = 30.0
-    s_grid = entropy_quantum(rho, t_star, f, OHMIC)
+    s_grid, s_before, s_after = entropy_series(rho, [t_star, 25.0, 35.0], f, OHMIC, "quantum")
 
     # independent oracle: fully-dephased limit keeps only the two diagonal
     # packet blocks; quadrature over fresh 1D grids with the analytic packet
@@ -279,7 +269,7 @@ def test_criterion_11_entropy_plateau_matches_two_gaussian_quadrature():
     s_oracle = 1.0 - 2.0 * weight * float(block)
 
     rel = abs(s_grid - s_oracle) / s_oracle
-    flat = max(abs(entropy_quantum(rho, t, f, OHMIC) - s_grid) for t in (25.0, 35.0))
+    flat = max(abs(s_before - s_grid), abs(s_after - s_grid))
     ok = rel < 0.02 and flat < 0.05
     budget.finish(ok, f"S={s_grid:.4f} oracle={s_oracle:.4f} rel={rel:.1e} wobble={flat:.3f}")
     assert rel < 0.02

@@ -1,6 +1,6 @@
 """The support-field entropy and rates against the dense full-grid quadrature.
 
-``strongdec.support_field`` pairs each cell above the diagonal with its
+``DensityMatrixGrid.support()`` pairs each cell above the diagonal with its
 mirror image and drops pairs below 1e-17/n^2 of weight, so ``S(t)`` may move
 by at most 1e-17 against the quadrature over every n x n cell.  The reference
 below is that dense quadrature, kept as it was before the support field.  A
@@ -23,8 +23,9 @@ from decodyn.model import (
     SinusoidalCoupling,
     TabulatedCoupling,
 )
-from decodyn.rates import classical_rate2, quantum_rate2, rate_pair
+from decodyn.rates import rate_pair
 from decodyn.states import DensityMatrixGrid, GaussianPacket, GridSpec, SuperpositionState, build_density_matrix
+from decodyn.cli import PRESETS, parse_config, preset_config
 from decodyn.strongdec import compute_series, entropy_series, support_field
 
 SINGLE = BathSpec(modes=(BathMode(1.0, 1.0, 1.0),))
@@ -112,8 +113,6 @@ def test_rates_match_dense_quadrature(rho0, f, bath):
     pair = rate_pair(rho0, f, cb, bath.hbar)
     for side, rate in (("classical", pair.classical_rate), ("quantum", pair.quantum_rate)):
         assert rate == pytest.approx(dense_rate(rho0, f, cb, bath.hbar, side), rel=1e-12)
-    assert classical_rate2(rho0, f, cb, bath.hbar) == pair.classical_rate
-    assert quantum_rate2(rho0, f, cb, bath.hbar) == pair.quantum_rate
     if degree_at_most_two(f):
         assert pair.classical_rate == pair.quantum_rate
 
@@ -183,3 +182,29 @@ def test_support_field_drops_the_empty_grid():
     w, x, defect = support_field(rho0, PolynomialCoupling((0.0, 0.0, 0.0, 1.0)), "quantum")
     assert w.size == x.size < 0.5 * n * (n - 1)
     assert abs(defect) < 1e-12
+
+
+# the pure pairing weighs 2 a_i a_j and the dense one |rho_ij|^2 + |rho_ji|^2,
+# rounded apart; the worst relative gap over these states is 7.4e-16
+PAIR_WEIGHT_REL = 1e-14
+
+
+def preset_states():
+    for name in PRESETS:
+        scn = parse_config(preset_config(name))
+        yield build_density_matrix(scn.state, grid=scn.grid, hbar=scn.model.hbar)
+        if scn.scan is not None and scn.scan["kind"] == "separation":
+            for sep in scn.scan["separations"]:
+                cat = SuperpositionState.symmetric_cat(sep, scn.scan["sigma"])
+                yield build_density_matrix(cat, hbar=scn.bath.hbar)
+
+
+def test_pure_and_dense_support_pair_the_same_cells():
+    for rho0 in preset_states():
+        dense = DensityMatrixGrid(grid=rho0.grid, values=rho0.values, hbar=rho0.hbar)
+        dq, qbar, w, _ = rho0.support()
+        dq_d, qbar_d, w_d, _ = dense.support()
+        assert w.size == w_d.size
+        assert dq.tobytes() == dq_d.tobytes()
+        assert qbar.tobytes() == qbar_d.tobytes()
+        assert np.max(np.abs(w - w_d) / w_d) <= PAIR_WEIGHT_REL

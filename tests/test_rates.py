@@ -6,14 +6,7 @@ import pytest
 
 from decodyn.bath import BathMode, BathSpec, discretize_ohmic, thermal_strength
 from decodyn.model import LinearCoupling, PolynomialCoupling, QuadraticCoupling, SinusoidalCoupling
-from decodyn.rates import (
-    classical_rate2,
-    hbar_scan,
-    linear_closed_form,
-    quantum_rate2,
-    rate_pair,
-    separation_scan,
-)
+from decodyn.rates import hbar_scan, linear_closed_form, rate_pair, separation_scan
 from decodyn.states import GaussianPacket, SuperpositionState, build_density_matrix, position_variance
 
 SINGLE = BathSpec(modes=(BathMode(1.0, 1.0, 1.0),))
@@ -22,13 +15,13 @@ CUBIC = PolynomialCoupling((0.0, 0.0, 0.0, 1.0))
 
 def test_linear_gaussian_closed_value():
     rho = build_density_matrix(SuperpositionState.single(math.sqrt(0.5)))
-    got = classical_rate2(rho, LinearCoupling(1.0), cb=0.5, hbar=1.0)
+    got = rate_pair(rho, LinearCoupling(1.0), cb=0.5, hbar=1.0).classical_rate
     assert got == pytest.approx(0.5, rel=1e-9)
 
 
 def test_zero_thermal_strength_zero_rate():
     rho = build_density_matrix(SuperpositionState.single(0.6))
-    assert classical_rate2(rho, LinearCoupling(1.0), cb=0.0, hbar=1.0) == 0.0
+    assert rate_pair(rho, LinearCoupling(1.0), cb=0.0, hbar=1.0).classical_rate == 0.0
 
 
 def test_linear_coupling_rates_identical():
@@ -60,7 +53,7 @@ def test_quadratic_coupling_rates_identical_to_machine_precision():
 def test_quantum_rate_matches_linear_closed_form(sigma, bath):
     rho = build_density_matrix(SuperpositionState.single(sigma), hbar=bath.hbar)
     cb = thermal_strength(bath)
-    got = quantum_rate2(rho, LinearCoupling(1.0), cb, bath.hbar)
+    got = rate_pair(rho, LinearCoupling(1.0), cb, bath.hbar).quantum_rate
     expected = linear_closed_form(position_variance(rho), bath)
     assert got == pytest.approx(expected, rel=1e-6)
 
@@ -114,7 +107,7 @@ def test_bounded_coupling_rate_bound():
     f = SinusoidalCoupling(amp, 2.0, 0.3)
     rho = build_density_matrix(SuperpositionState.symmetric_cat(10.0, 0.5))
     cb, hbar = 0.8, 1.0
-    assert quantum_rate2(rho, f, cb, hbar) <= (cb / hbar) * 4 * amp**2 * (1 + 1e-12)
+    assert rate_pair(rho, f, cb, hbar).quantum_rate <= (cb / hbar) * 4 * amp**2 * (1 + 1e-12)
 
 
 def test_global_phase_invariance():

@@ -101,6 +101,16 @@ def test_pure_state_keeps_its_factor():
         DensityMatrixGrid(grid=grid, values=rho.values, psi=psi)
 
 
+def test_pure_diagonal_reads_psi_alone():
+    for state in (SuperpositionState.symmetric_cat(6.0, 0.5), SuperpositionState.single(0.7, 0.4, 1.3)):
+        rho = build_density_matrix(state)
+        tr, var = rho.trace(), position_variance(rho)
+        assert "values" not in vars(rho)
+        dense = DensityMatrixGrid(grid=rho.grid, values=np.outer(rho.psi, rho.psi.conj()), hbar=rho.hbar)
+        assert tr == dense.trace()
+        assert var == position_variance(dense)
+
+
 def test_wigner_peak_of_ground_state():
     for hbar in (1.0, 2.0):
         sigma = np.sqrt(hbar / 2)

@@ -14,13 +14,11 @@ from decodyn.model import (
     TabulatedCoupling,
 )
 from decodyn.oracle import short_time_fit
-from decodyn.rates import classical_rate2, quantum_rate2
+from decodyn.rates import rate_pair
 from decodyn.states import SuperpositionState, build_density_matrix
 from decodyn.strongdec import (
     classical_factor,
     compute_series,
-    entropy_classical,
-    entropy_quantum,
     entropy_series,
     gamma,
     quantum_factor,
@@ -130,16 +128,17 @@ def test_classical_equals_quantum_for_degree_two(f, q1, q2, t, bath):
 def test_entropy_zero_at_t0_and_recurrence():
     rho = build_density_matrix(SuperpositionState.symmetric_cat(8.0, 0.4))
     f = LinearCoupling(1.0)
-    assert entropy_quantum(rho, 0.0, f, SINGLE) == pytest.approx(0.0, abs=1e-12)
-    assert entropy_quantum(rho, 2 * math.pi, f, SINGLE) == pytest.approx(0.0, abs=1e-12)
-    assert entropy_quantum(rho, math.pi, f, SINGLE) > 0.3
+    s0, s_recur, s_half = entropy_series(rho, [0.0, 2 * math.pi, math.pi], f, SINGLE, "quantum")
+    assert s0 == pytest.approx(0.0, abs=1e-12)
+    assert s_recur == pytest.approx(0.0, abs=1e-12)
+    assert s_half > 0.3
 
 
 def test_entropy_bounds_and_monotonicity():
     rho = build_density_matrix(SuperpositionState.symmetric_cat(8.0, 0.4))
     ts = np.linspace(0.0, math.pi / 5.0, 40)  # b2 rising on this window
-    for side_fn in (entropy_classical, entropy_quantum):
-        s = side_fn(rho, ts, LinearCoupling(1.0), OHMIC)
+    for side in ("classical", "quantum"):
+        s = entropy_series(rho, ts, LinearCoupling(1.0), OHMIC, side)
         assert np.all(s >= -1e-12)
         assert np.all(s < 1.0)
         assert np.all(np.diff(s) >= -1e-12)
@@ -149,8 +148,8 @@ def test_entropy_sides_agree_for_quadratic():
     rho = build_density_matrix(SuperpositionState.symmetric_cat(8.0, 0.4))
     ts = np.linspace(0.0, 10.0, 50)
     f = QuadraticCoupling(1.0, 0.3)
-    sc = entropy_classical(rho, ts, f, OHMIC)
-    sq = entropy_quantum(rho, ts, f, OHMIC)
+    sc = entropy_series(rho, ts, f, OHMIC, "classical")
+    sq = entropy_series(rho, ts, f, OHMIC, "quantum")
     assert np.max(np.abs(sc - sq)) < 1e-10
 
 
@@ -159,8 +158,8 @@ def test_classical_entropy_dominates_for_bounded_coupling():
     f = SinusoidalCoupling(1.0, 1.0, 0.3)
     rho = build_density_matrix(SuperpositionState.symmetric_cat(6.0, 0.5))
     ts = np.linspace(0.1, 3.0, 15)
-    sc = entropy_classical(rho, ts, f, OHMIC)
-    sq = entropy_quantum(rho, ts, f, OHMIC)
+    sc = entropy_series(rho, ts, f, OHMIC, "classical")
+    sq = entropy_series(rho, ts, f, OHMIC, "quantum")
     assert np.all(sc >= sq - 1e-12)
 
 
@@ -237,12 +236,13 @@ def test_short_time_entropy_reproduces_perturbative_rates(f, state_sigma):
     # exponents ~3e4 per unit b2, so 0.01*t_bath would already bias the fit
     window = 1e-4 * t_bath
     ts = np.linspace(0.0, window, 17)
-    c1, c2 = short_time_fit(ts, entropy_quantum(rho, ts, f, OHMIC), window)
-    expected = quantum_rate2(rho, f, cb, OHMIC.hbar)
+    pair = rate_pair(rho, f, cb, OHMIC.hbar)
+    c1, c2 = short_time_fit(ts, entropy_series(rho, ts, f, OHMIC, "quantum"), window)
+    expected = pair.quantum_rate
     assert c2 == pytest.approx(expected, rel=1e-4)
     assert abs(c1) < 1e-3 * abs(c2) * window
-    c1c, c2c = short_time_fit(ts, entropy_classical(rho, ts, f, OHMIC), window)
-    assert c2c == pytest.approx(classical_rate2(rho, f, cb, OHMIC.hbar), rel=1e-4)
+    c1c, c2c = short_time_fit(ts, entropy_series(rho, ts, f, OHMIC, "classical"), window)
+    assert c2c == pytest.approx(pair.classical_rate, rel=1e-4)
 
 
 def test_entropy_series_scalar_and_array_forms():
@@ -250,6 +250,6 @@ def test_entropy_series_scalar_and_array_forms():
     f = LinearCoupling(1.0)
     arr = entropy_series(rho, [0.0, 1.0], f, SINGLE, "quantum")
     assert arr.shape == (2,)
-    assert entropy_quantum(rho, 1.0, f, SINGLE) == pytest.approx(arr[1], rel=1e-14)
+    assert entropy_series(rho, 1.0, f, SINGLE, "quantum")[0] == pytest.approx(arr[1], rel=1e-14)
     with pytest.raises(ValueError):
         entropy_series(rho, [0.0, 1.0], f, SINGLE, "both")
