@@ -228,9 +228,10 @@ def thermal_sample_block(bath: BathSpec, seed: int, start: int, count: int):
     (count, 2 n_modes) block, so each has shape (count, n_modes).  The draw
     for a given (seed, index) never depends on how the index range is
     partitioned, nor on how many threads fill it, so parallel workers can
-    split ranges freely and merge in index order.  A substream that lies
-    wholly inside the range is drawn straight into its rows of the block and
-    scaled there; a partial first or last one goes through a scratch draw.
+    split ranges freely and merge in index order.  Each substream draws its
+    normals in row order, so its rows inside the range are drawn straight
+    into the block and scaled there, after the rows before the range are
+    drawn and dropped.
     """
     if count < 0 or start < 0:
         raise ValueError("start and count must be nonnegative")
@@ -244,14 +245,11 @@ def thermal_sample_block(bath: BathSpec, seed: int, start: int, count: int):
         gen = np.random.Generator(np.random.Philox(key=seed).jumped(stream))
         lo = max(start, stream * _STREAM_SAMPLES)
         hi = min(start + count, (stream + 1) * _STREAM_SAMPLES)
+        # the substream's normals come in row order: drop the rows before lo
+        gen.standard_normal((lo - stream * _STREAM_SAMPLES) * 2 * n)
         out = block[lo - start : hi - start]
-        if hi - lo == _STREAM_SAMPLES:
-            gen.standard_normal(out=out)
-            out *= widths
-        else:
-            z = gen.standard_normal((_STREAM_SAMPLES, 2 * n))
-            rows = slice(lo - stream * _STREAM_SAMPLES, hi - stream * _STREAM_SAMPLES)
-            np.multiply(z[rows], widths, out=out)
+        gen.standard_normal(out=out)
+        out *= widths
 
     streams = range(first, last + 1)
     if _WORKERS > 1 and len(streams) > 1 and 2 * n >= _WIDE_ROW:

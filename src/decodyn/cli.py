@@ -71,7 +71,9 @@ class Scenario:
 # kernels b1, b2 and b2_dot each build an n_steps x n_modes array, the MC
 # oracle an n_samples-long complex array and one 4096 x 2 n_modes block per
 # sampling thread, the Fock oracle dense (2 n_levels)^2 matrices, and every
-# state grid its 1-D arrays of n_points.
+# state grid its 1-D arrays of n_points.  Each entry of an oracle times list
+# costs one oracle evaluation and each scan point one rate pair, so those
+# lists hold at most _MAX_LIST_ENTRIES.
 _MAX_TIME_STEPS = 100_000
 _MAX_BATH_MODES = 100_000
 _MAX_KERNEL_CELLS = 10_000_000
@@ -79,6 +81,7 @@ _MAX_MC_SAMPLES = 10_000_000
 _MAX_MC_MODES = 1024
 _MAX_FOCK_LEVELS = 512
 _MAX_GRID_POINTS = 2**20
+_MAX_LIST_ENTRIES = 1000
 
 
 @contextmanager
@@ -117,11 +120,14 @@ def _get(cfg: dict, key: str, path: str, kind, default=None, required=False):
     return val
 
 
-def _get_numbers(cfg: dict, key: str, path: str) -> list[float]:
-    """The required list cfg[key] of finite numbers; errors name path.key[i]."""
+def _get_numbers(cfg: dict, key: str, path: str, most: int | None = None) -> list[float]:
+    """The required list cfg[key] of finite numbers, refused past most
+    entries if most is given; errors name path.key[i]."""
     vals = _get(cfg, key, path, None, required=True)
     if not isinstance(vals, list):
         raise ConfigError(f"{path}.{key}: expected a list of finite numbers, got {vals!r}")
+    if most is not None and len(vals) > most:
+        raise ConfigError(f"{path}.{key}: must hold at most {most} entries, got {len(vals)}")
     return [_finite(v, f"{path}.{key}[{i}]") for i, v in enumerate(vals)]
 
 
@@ -249,7 +255,7 @@ def _parse_scan(cfg: dict) -> dict | None:
         return None
     raw = _get(cfg, "scan", "config", dict, required=True)
     if "separations" in raw:
-        seps = _get_numbers(raw, "separations", "scan")
+        seps = _get_numbers(raw, "separations", "scan", _MAX_LIST_ENTRIES)
         sigma = _get(raw, "sigma", "scan", float, required=True)
         if not seps or seps[0] <= 0 or any(b <= a for a, b in zip(seps, seps[1:])):
             raise ConfigError(f"scan.separations: must be positive and strictly increasing, got {seps}")
@@ -257,7 +263,7 @@ def _parse_scan(cfg: dict) -> dict | None:
             raise ConfigError(f"scan.sigma: must be positive and below half the smallest separation, got {sigma}")
         return {"kind": "separation", "separations": seps, "sigma": sigma}
     if "hbar_factors" in raw:
-        factors = _get_numbers(raw, "hbar_factors", "scan")
+        factors = _get_numbers(raw, "hbar_factors", "scan", _MAX_LIST_ENTRIES)
         for i, factor in enumerate(factors):
             if not factor > 0:
                 raise ConfigError(f"scan.hbar_factors[{i}]: must be positive, got {factor}")
@@ -272,7 +278,7 @@ def _parse_oracle(cfg: dict, bath: BathSpec) -> dict | None:
     out = {}
     if "mc" in raw:
         mc = _get(raw, "mc", "oracle", dict, required=True)
-        times = _get_numbers(mc, "times", "oracle.mc")
+        times = _get_numbers(mc, "times", "oracle.mc", _MAX_LIST_ENTRIES)
         n_samples = _get(mc, "n_samples", "oracle.mc", int, default=100_000)
         if not 1000 <= n_samples <= _MAX_MC_SAMPLES or n_samples % 100:
             raise ConfigError(
@@ -285,7 +291,7 @@ def _parse_oracle(cfg: dict, bath: BathSpec) -> dict | None:
         out["mc"] = {"times": times, "n_samples": n_samples}
     if "fock" in raw:
         fk = _get(raw, "fock", "oracle", dict, required=True)
-        times = _get_numbers(fk, "times", "oracle.fock")
+        times = _get_numbers(fk, "times", "oracle.fock", _MAX_LIST_ENTRIES)
         n_levels = _get(fk, "n_levels", "oracle.fock", int, default=64)
         if not 8 <= n_levels <= _MAX_FOCK_LEVELS:
             raise ConfigError(f"oracle.fock.n_levels: must be in [8, {_MAX_FOCK_LEVELS}], got {n_levels}")
@@ -362,6 +368,9 @@ def parse_config(cfg: dict) -> Scenario:
         grids.append(_cover(widest, "scan"))
     if isinstance(coupling, TabulatedCoupling):
         _check_table_covers(scn, grids)
+    if grid is not None:
+        # the same GridCoverageError, and exit 3, as when the run builds the state
+        grid.check_covers(state)
     return scn
 
 
@@ -395,48 +404,41 @@ def _write_scan(path: Path, first_column: str, keys, pairs):
 
 def _oracle_records(scn: Scenario, probe: tuple[float, float], seed: int) -> dict:
     q1, q2 = probe
+    oracle = scn.oracle or {}
     result = {}
-    if scn.oracle and "mc" in scn.oracle:
-        records = []
-        for t in scn.oracle["mc"]["times"]:
-            est = mc_classical_factor(
-                q1, q2, t, scn.coupling, scn.bath, scn.oracle["mc"]["n_samples"], seed
-            )
+
+    def record(t, mean, analytic, std_error, n_samples, sigma_distance, **extra):
+        return {
+            "t": t,
+            "mean_re": mean.real,
+            "mean_im": mean.imag,
+            "std_error": std_error,
+            "n_samples": n_samples,
+            "analytic_re": analytic.real,
+            "analytic_im": analytic.imag,
+            "sigma_distance": sigma_distance,
+            **extra,
+        }
+
+    if "mc" in oracle:
+        result["mc"] = []
+        for t in oracle["mc"]["times"]:
+            est = mc_classical_factor(q1, q2, t, scn.coupling, scn.bath, oracle["mc"]["n_samples"], seed)
             analytic = classical_factor(q1, q2, t, scn.coupling, scn.bath).value
-            records.append(
-                {
-                    "t": t,
-                    "mean_re": est.mean.real,
-                    "mean_im": est.mean.imag,
-                    "std_error": est.std_error,
-                    "n_samples": est.n_samples,
-                    "analytic_re": analytic.real,
-                    "analytic_im": analytic.imag,
-                    "sigma_distance": est.sigma_distance(analytic),
-                }
+            result["mc"].append(
+                record(t, est.mean, analytic, est.std_error, est.n_samples, est.sigma_distance(analytic))
             )
-        result["mc"] = records
-    if scn.oracle and "fock" in scn.oracle:
-        cfg = FockConfig(n_levels=scn.oracle["fock"]["n_levels"])
-        times = np.asarray(scn.oracle["fock"]["times"])
+    if "fock" in oracle:
+        cfg = FockConfig(n_levels=oracle["fock"]["n_levels"])
+        times = np.asarray(oracle["fock"]["times"])
         overlaps = fock_quantum_factor(q1, q2, times, scn.coupling, scn.bath, cfg)
-        records = []
+        result["fock"] = []
         for t, overlap in zip(times, overlaps):
             analytic = quantum_factor(q1, q2, float(t), scn.coupling, scn.bath).value
-            records.append(
-                {
-                    "t": float(t),
-                    "mean_re": overlap.real,
-                    "mean_im": overlap.imag,
-                    "std_error": 0.0,
-                    "n_samples": cfg.n_levels,
-                    "analytic_re": analytic.real,
-                    "analytic_im": analytic.imag,
-                    "sigma_distance": None,
-                    "modulus_error": abs(abs(overlap) - abs(analytic)),
-                }
+            modulus_error = abs(abs(overlap) - abs(analytic))
+            result["fock"].append(
+                record(float(t), overlap, analytic, 0.0, cfg.n_levels, None, modulus_error=modulus_error)
             )
-        result["fock"] = records
     return result
 
 

@@ -147,6 +147,14 @@ class GridSpec:
         n = int(2 ** np.ceil(np.log2((hi - lo) / h_target + 1)))
         return cls(q_min=lo, q_max=hi, n_points=max(n, 16))
 
+    def check_covers(self, state: SuperpositionState) -> None:
+        """Raise GridCoverageError unless every packet center +-
+        _COVER_SIGMAS widths lies on the grid."""
+        lo = min(pk.center_q - _COVER_SIGMAS * pk.sigma for pk in state.packets)
+        hi = max(pk.center_q + _COVER_SIGMAS * pk.sigma for pk in state.packets)
+        if self.q_min > lo or self.q_max < hi:
+            raise GridCoverageError(f"grid [{self.q_min}, {self.q_max}] does not cover required [{lo}, {hi}]")
+
 
 _HERMITICITY_TOL = 1e-12
 _TRACE_TOL = 1e-8
@@ -307,12 +315,7 @@ def build_density_matrix(
     """
     if grid is None:
         grid = GridSpec.cover(state)
-    lo = min(pk.center_q - _COVER_SIGMAS * pk.sigma for pk in state.packets)
-    hi = max(pk.center_q + _COVER_SIGMAS * pk.sigma for pk in state.packets)
-    if grid.q_min > lo or grid.q_max < hi:
-        raise GridCoverageError(
-            f"grid [{grid.q_min}, {grid.q_max}] does not cover required [{lo}, {hi}]"
-        )
+    grid.check_covers(state)
     psi = state.psi(grid.q, hbar=hbar)
     norm = grid.spacing * float(np.sum(np.abs(psi) ** 2))
     if norm <= 0:

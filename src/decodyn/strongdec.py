@@ -93,21 +93,19 @@ def _coefficients(q1, q2, f: CouplingFunction, side: str):
     return decay, dq * f.eval(qbar) * g
 
 
-def _factor_parts(q1, q2, t, f: CouplingFunction, bath: BathSpec, side: str):
+def _factor(q1: float, q2: float, t: float, f: CouplingFunction, bath: BathSpec, side: str) -> DecoherenceFactor:
     decay, drive = _coefficients(q1, q2, f, side)
-    return -decay * b2(bath, t), drive * b1(bath, t) / bath.hbar
+    return DecoherenceFactor(log_modulus=float(-decay * b2(bath, t)), phase=float(drive * b1(bath, t) / bath.hbar))
 
 
 def classical_factor(q1: float, q2: float, t: float, f: CouplingFunction, bath: BathSpec) -> DecoherenceFactor:
     """Evolution factor of the classical analog element at (Q1, Q2)."""
-    log_mod, phase = _factor_parts(q1, q2, t, f, bath, "classical")
-    return DecoherenceFactor(log_modulus=float(log_mod), phase=float(phase))
+    return _factor(q1, q2, t, f, bath, "classical")
 
 
 def quantum_factor(q1: float, q2: float, t: float, f: CouplingFunction, bath: BathSpec) -> DecoherenceFactor:
     """Evolution factor of the quantum element at (Q1, Q2)."""
-    log_mod, phase = _factor_parts(q1, q2, t, f, bath, "quantum")
-    return DecoherenceFactor(log_modulus=float(log_mod), phase=float(phase))
+    return _factor(q1, q2, t, f, bath, "quantum")
 
 
 def gamma(q1: float, q2: float, t, f: CouplingFunction, bath: BathSpec, side: str):
@@ -198,20 +196,14 @@ def compute_series(
     q1, q2 = probe
     b1s = np.asarray(b1(bath, ts))
     b2s = np.asarray(b2(bath, ts))
-    lm_c, ph_c = _factor_parts(q1, q2, ts, f, bath, "classical")
-    lm_q, ph_q = _factor_parts(q1, q2, ts, f, bath, "quantum")
-    s_c = entropy_series(rho0, ts, f, bath, "classical")
-    return DecoherenceSeries(
-        times=ts,
-        b1=b1s,
-        b2=b2s,
-        gamma_c=np.asarray(gamma(q1, q2, ts, f, bath, "classical")),
-        gamma_q=np.asarray(gamma(q1, q2, ts, f, bath, "quantum")),
-        s_c=s_c,
-        s_q=s_c if quotient_is_slope(f) else entropy_series(rho0, ts, f, bath, "quantum"),
-        phase_c=np.asarray(ph_c),
-        phase_q=np.asarray(ph_q),
-        logmod_c=np.asarray(lm_c),
-        logmod_q=np.asarray(lm_q),
-        probe=(float(q1), float(q2)),
-    )
+    b2ds = np.asarray(b2_dot(bath, ts))
+    columns = {}
+    for side, c in (("classical", "c"), ("quantum", "q")):
+        decay, drive = _coefficients(q1, q2, f, side)
+        columns[f"logmod_{c}"] = -decay * b2s
+        columns[f"phase_{c}"] = drive * b1s / bath.hbar
+        columns[f"gamma_{c}"] = -decay * b2ds
+        # a degree <= 2 coupling has the same entropy on both sides
+        redundant = side == "quantum" and quotient_is_slope(f)
+        columns[f"s_{c}"] = columns["s_c"] if redundant else entropy_series(rho0, ts, f, bath, side)
+    return DecoherenceSeries(times=ts, b1=b1s, b2=b2s, probe=(float(q1), float(q2)), **columns)

@@ -211,6 +211,41 @@ def test_sampling_bytes_do_not_depend_on_threads_or_split(n_modes, seed, ranges)
     assert np.vstack([pa, pb]).tobytes() == p1.tobytes()
 
 
+def _substream_reference(bath, seed, start, count):
+    """Samples [start, start+count) by the contract alone: sample i is row
+    i % 4096 of Philox(key=seed).jumped(i // 4096)'s (4096, 2n) normals,
+    scaled by the thermal widths."""
+    first, last = start // STREAM, (start + count - 1) // STREAM
+    z = np.vstack(
+        [
+            np.random.Generator(np.random.Philox(key=seed).jumped(s)).standard_normal((STREAM, 2 * bath.n_modes))
+            for s in range(first, last + 1)
+        ]
+    )
+    offset = start - first * STREAM
+    block = z[offset : offset + count] * np.concatenate(bath_module._thermal_widths(bath))
+    return block[:, : bath.n_modes], block[:, bath.n_modes :]
+
+
+@pytest.mark.parametrize("n_modes", [1, 50])
+@pytest.mark.parametrize(
+    "start,count",
+    [
+        (100, STREAM - 100),  # partial first substream
+        (STREAM, STREAM + 7),  # whole, then partial last
+        (4000, 2 * STREAM),  # partial first and partial last
+        (5, 10),  # both ends inside one substream
+        (0, 2 * STREAM),  # whole substreams
+    ],
+)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sampling_follows_the_substream_contract(n_modes, start, count, workers):
+    bath = discretize_ohmic(0.5, 1.0, n_modes, 3.0, beta=1.0)
+    q, p = _with_workers(workers, thermal_sample_block, bath, 3, start, count)
+    q_ref, p_ref = _substream_reference(bath, 3, start, count)
+    assert q.tobytes() == q_ref.tobytes() and p.tobytes() == p_ref.tobytes()
+
+
 def _mc_50_modes(seed=11):
     bath = discretize_ohmic(0.25, 1.0, 50, 5.0, beta=2.0)
     f = PolynomialCoupling((0.0, 1.0, 0.0, 0.05))

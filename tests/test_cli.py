@@ -316,13 +316,20 @@ def test_main_run_and_exit_codes(tmp_path, capsys):
 
     assert main(["run", "no-such-preset", "--out", str(tmp_path)]) == 2
 
-    # explicit grid too small for the packets -> coverage exit code
-    cfg = small_config()
-    cfg["state"]["grid"] = {"q_min": -1.0, "q_max": 1.0, "n_points": 64}
+    # explicit grid too small for the packets -> coverage exit code, from
+    # validate as from run and with the same message; sigma 1 needs [-8, 8]
+    grid = {"q_min": -2.0, "q_max": 2.0, "n_points": 64}
+    cfg = small_config(state={"packets": [{"center_q": 0.0, "sigma": 1.0}], "grid": grid})
     covered = tmp_path / "cover.json"
     covered.write_text(json.dumps(cfg))
-    assert main(["run", str(covered), "--out", str(tmp_path / "out2")]) == 3
-    assert "coverage" in capsys.readouterr().err
+    capsys.readouterr()
+    messages = []
+    for argv in (["validate", str(covered)], ["run", str(covered), "--out", str(tmp_path / "out2")]):
+        assert main(argv) == 3
+        messages.append(capsys.readouterr().err)
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("grid coverage error: grid [-2.0, 2.0] does not cover required [-8.0, 8.0]")
+    assert not (tmp_path / "out2").exists()
 
 
 @pytest.mark.parametrize(
@@ -513,3 +520,26 @@ def test_probe_defaults_to_packet_centers(tmp_path):
     paths = run_scenario(cfg, out_dir=tmp_path)
     manifest = json.loads(paths["manifest"].read_text())
     assert manifest["probe"] == {"q1": -3.0, "q2": 3.0}
+
+
+@pytest.mark.parametrize(
+    "field,make",
+    [
+        ("oracle.mc.times", lambda n: {"oracle": {"mc": {"times": [1.0] * n}}}),
+        ("oracle.fock.times", lambda n: {"oracle": {"fock": {"times": [1.0] * n}}}),
+        ("scan.separations", lambda n: {"scan": {"separations": [1.0 + i for i in range(n)], "sigma": 0.1}}),
+        ("scan.hbar_factors", lambda n: {"scan": {"hbar_factors": [1.0] * n}}),
+    ],
+)
+def test_list_caps_parse_only(tmp_path, capsys, field, make):
+    # parsed at the cap; refused at cap + 1 by validate and parse_config,
+    # and nothing is run
+    cap = cli._MAX_LIST_ENTRIES
+    parse_config(small_config(**make(cap)))
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(small_config(**make(cap + 1))))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.loads(path.read_text()))
+    assert str(err.value) == f"{field}: must hold at most {cap} entries, got {cap + 1}"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from decodyn import cli
 from decodyn.bath import BathMode, BathSpec, b2_dot, discretize_ohmic, thermal_strength
 from decodyn.model import (
     LinearCoupling,
@@ -253,3 +254,22 @@ def test_entropy_series_scalar_and_array_forms():
     assert entropy_series(rho, 1.0, f, SINGLE, "quantum")[0] == pytest.approx(arr[1], rel=1e-14)
     with pytest.raises(ValueError):
         entropy_series(rho, [0.0, 1.0], f, SINGLE, "both")
+
+
+@pytest.mark.parametrize("name", sorted(cli.PRESETS))
+def test_series_columns_equal_the_point_functions(name):
+    # every probe column is, bit for bit, the point function at that time
+    scn = cli.parse_config(cli.preset_config(name))
+    probe = scn.probe or cli._default_probe(scn.state)
+    rho0 = build_density_matrix(scn.state, grid=scn.grid, hbar=scn.model.hbar)
+    series = compute_series(rho0, scn.coupling, scn.bath, scn.times, probe)
+    args = (scn.coupling, scn.bath)
+    for c, side, factor in (("c", "classical", classical_factor), ("q", "quantum", quantum_factor)):
+        points = [factor(*probe, t, *args) for t in scn.times]
+        expected = {
+            "logmod": [p.log_modulus for p in points],
+            "phase": [p.phase for p in points],
+            "gamma": [gamma(*probe, t, *args, side) for t in scn.times],
+        }
+        for column, values in expected.items():
+            assert getattr(series, f"{column}_{c}").tobytes() == np.array(values).tobytes(), f"{column}_{c}"
