@@ -125,6 +125,24 @@ class BathSpec:
         x = 0.5 * self.beta * self.hbar * self.omegas
         return 1.0 / np.tanh(x)
 
+    @cached_property
+    def mode_weights(self) -> dict[str, np.ndarray]:
+        """Per-mode weights of the kernels b1, b2 and b2_dot and of
+        thermal_strength, and the thermal widths q_std and p_std; formed
+        once, read-only."""
+        c2, m, w, coth = self.couplings**2, self.masses, self.omegas, self.coth_factors
+        weights = {
+            "b1": c2 / (m * w**3),
+            "b2": c2 * coth / (2.0 * m * self.hbar * w**3),
+            "b2_dot": c2 * coth / (2.0 * m * self.hbar * w**2),
+            "thermal_strength": c2 * coth / (2.0 * m * w),
+            "q_std": np.sqrt(self.hbar * coth / (2.0 * m * w)),
+            "p_std": np.sqrt(m * self.hbar * w * coth / 2.0),
+        }
+        for a in weights.values():
+            a.flags.writeable = False
+        return weights
+
 
 def discretize_ohmic(
     eta: float,
@@ -167,8 +185,7 @@ def discretize_ohmic(
 def thermal_strength(bath: BathSpec) -> float:
     """sum_j C_j^2 coth(beta hbar w_j/2) / (2 m_j w_j); the thermal coupling
     weight entering every second-order decoherence rate."""
-    c2 = bath.couplings**2
-    return float(np.sum(c2 * bath.coth_factors / (2.0 * bath.masses * bath.omegas)))
+    return float(np.sum(bath.mode_weights["thermal_strength"]))
 
 
 def _x_minus_sin(x: np.ndarray) -> np.ndarray:
@@ -196,27 +213,23 @@ def _kernel(bath: BathSpec, t, weight: np.ndarray, term) -> float | np.ndarray:
 
 def b1(bath: BathSpec, t) -> float | np.ndarray:
     """Coherent-phase kernel.  b1(0) = 0; grows ~ t^3 at short times."""
-    return _kernel(bath, t, bath.couplings**2 / (bath.masses * bath.omegas**3), _x_minus_sin)
+    return _kernel(bath, t, bath.mode_weights["b1"], _x_minus_sin)
 
 
 def b2(bath: BathSpec, t) -> float | np.ndarray:
     """Decay kernel; nonnegative, and zero only where every mode has
     w_j t = 0 mod 2*pi or C_j = 0."""
-    weight = bath.couplings**2 * bath.coth_factors / (2.0 * bath.masses * bath.hbar * bath.omegas**3)
-    return _kernel(bath, t, weight, _one_minus_cos)
+    return _kernel(bath, t, bath.mode_weights["b2"], _one_minus_cos)
 
 
 def b2_dot(bath: BathSpec, t) -> float | np.ndarray:
     """Time derivative of b2 (term-by-term analytic)."""
-    weight = bath.couplings**2 * bath.coth_factors / (2.0 * bath.masses * bath.hbar * bath.omegas**2)
-    return _kernel(bath, t, weight, np.sin)
+    return _kernel(bath, t, bath.mode_weights["b2_dot"], np.sin)
 
 
 def _thermal_widths(bath: BathSpec) -> tuple[np.ndarray, np.ndarray]:
-    coth = bath.coth_factors
-    q_std = np.sqrt(bath.hbar * coth / (2.0 * bath.masses * bath.omegas))
-    p_std = np.sqrt(bath.masses * bath.hbar * bath.omegas * coth / 2.0)
-    return q_std, p_std
+    weights = bath.mode_weights
+    return weights["q_std"], weights["p_std"]
 
 
 def thermal_sample_block(bath: BathSpec, seed: int, start: int, count: int):

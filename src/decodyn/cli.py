@@ -18,7 +18,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -59,9 +59,9 @@ class Scenario:
     bath: BathSpec
     coupling: CouplingFunction
     state: SuperpositionState
-    grid: GridSpec | None
+    grid: GridSpec
     times: np.ndarray
-    probe: tuple[float, float] | None
+    probe: tuple[float, float]
     scan: dict | None
     oracle: dict | None
     seed: int
@@ -146,6 +146,39 @@ def _parse_model(cfg: dict) -> ModelConfig:
         return ModelConfig(hbar=hbar, beta=beta)
 
 
+def _overflowing(bath: BathSpec) -> tuple[str, int | None] | None:
+    """The first quantity of bath that overflows the float range, with its
+    mode index if it has one: 1/hbar, coth(beta hbar w / 2), the other
+    per-mode weights, then the rate prefactor thermal_strength / hbar; None
+    if none does.  numpy would carry the inf or NaN into every series and
+    scan (its 0j / 1e-320 is nan+nanj), and into the manifest as invalid
+    JSON."""
+    with np.errstate(all="ignore"):
+        if not math.isfinite(1.0 / bath.hbar):
+            return "1/hbar", None
+        for name, values in {"coth": bath.coth_factors, **bath.mode_weights}.items():
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                return name, int(bad[0])
+        if not math.isfinite(thermal_strength(bath) / bath.hbar):
+            return "thermal_strength / hbar", None
+    return None
+
+
+def _check_bath(bath: BathSpec, path: str) -> BathSpec:
+    """Refuse a bath with an overflowing quantity, naming model.hbar for
+    1/hbar, model.beta for coth and the mode (or path) for the rest."""
+    over = _overflowing(bath)
+    if over is None:
+        return bath
+    name, mode = over
+    field = {"1/hbar": "model.hbar", "coth": "model.beta"}.get(name, path)
+    if field == "bath.modes" and mode is not None:
+        field = f"bath.modes[{mode}]"
+    where = "" if mode is None else f" of bath mode {mode}"
+    raise ConfigError(f"{field}: {name}{where} overflows the float range")
+
+
 def _parse_bath(cfg: dict, model: ModelConfig) -> BathSpec:
     raw = _get(cfg, "bath", "config", dict, required=True)
     if "ohmic" in raw:
@@ -160,7 +193,8 @@ def _parse_bath(cfg: dict, model: ModelConfig) -> BathSpec:
         if not 1 <= n_modes <= _MAX_BATH_MODES:
             raise ConfigError(f"bath.ohmic.n_modes: must be in [1, {_MAX_BATH_MODES}], got {n_modes}")
         with _field("bath.ohmic"):
-            return discretize_ohmic(eta, omega_c, n_modes, omega_max, beta=model.beta, hbar=model.hbar)
+            bath = discretize_ohmic(eta, omega_c, n_modes, omega_max, beta=model.beta, hbar=model.hbar)
+        return _check_bath(bath, "bath.ohmic")
     if "modes" in raw:
         modes = []
         for i, entry in enumerate(_get(raw, "modes", "bath", list, required=True)):
@@ -176,7 +210,8 @@ def _parse_bath(cfg: dict, model: ModelConfig) -> BathSpec:
                     )
                 )
         with _field("bath.modes"):
-            return BathSpec(modes=tuple(modes), beta=model.beta, hbar=model.hbar)
+            bath = BathSpec(modes=tuple(modes), beta=model.beta, hbar=model.hbar)
+        return _check_bath(bath, "bath.modes")
     raise ConfigError("bath: must contain either 'ohmic' or 'modes'")
 
 
@@ -202,7 +237,7 @@ def _parse_coupling(cfg: dict) -> CouplingFunction:
     raise ConfigError(f"coupling.variant: unknown variant {kind!r}")
 
 
-def _parse_state(cfg: dict) -> tuple[SuperpositionState, GridSpec | None]:
+def _parse_state(cfg: dict) -> tuple[SuperpositionState, GridSpec]:
     raw = _get(cfg, "state", "config", dict, required=True)
     entries = _get(raw, "packets", "state", list, required=True)
     if not entries:
@@ -224,17 +259,18 @@ def _parse_state(cfg: dict) -> tuple[SuperpositionState, GridSpec | None]:
                     ),
                 )
             )
-    grid = None
-    if "grid" in raw:
-        g = _get(raw, "grid", "state", dict, required=True)
-        q_min = _get(g, "q_min", "state.grid", float, required=True)
-        q_max = _get(g, "q_max", "state.grid", float, required=True)
-        n_points = _get(g, "n_points", "state.grid", int, required=True)
-        if n_points > _MAX_GRID_POINTS:
-            raise ConfigError(f"state.grid.n_points: must be at most {_MAX_GRID_POINTS}, got {n_points}")
-        with _field("state.grid"):
-            grid = GridSpec(q_min=q_min, q_max=q_max, n_points=n_points)
-    return SuperpositionState(packets=tuple(packets)), grid
+    state = SuperpositionState(packets=tuple(packets))
+    if "grid" not in raw:
+        # the automatic grid, refused here rather than when the run starts
+        return state, _cover(state, "state")
+    g = _get(raw, "grid", "state", dict, required=True)
+    q_min = _get(g, "q_min", "state.grid", float, required=True)
+    q_max = _get(g, "q_max", "state.grid", float, required=True)
+    n_points = _get(g, "n_points", "state.grid", int, required=True)
+    if n_points > _MAX_GRID_POINTS:
+        raise ConfigError(f"state.grid.n_points: must be at most {_MAX_GRID_POINTS}, got {n_points}")
+    with _field("state.grid"):
+        return state, GridSpec(q_min=q_min, q_max=q_max, n_points=n_points)
 
 
 def _parse_times(cfg: dict, n_modes: int) -> np.ndarray:
@@ -250,7 +286,7 @@ def _parse_times(cfg: dict, n_modes: int) -> np.ndarray:
     return np.linspace(0.0, t_max, n_steps)
 
 
-def _parse_scan(cfg: dict) -> dict | None:
+def _parse_scan(cfg: dict, bath: BathSpec) -> dict | None:
     if "scan" not in cfg:
         return None
     raw = _get(cfg, "scan", "config", dict, required=True)
@@ -267,6 +303,15 @@ def _parse_scan(cfg: dict) -> dict | None:
         for i, factor in enumerate(factors):
             if not factor > 0:
                 raise ConfigError(f"scan.hbar_factors[{i}]: must be positive, got {factor}")
+        # what _overflowing checks falls with hbar (1/hbar, coth, b2, b2_dot,
+        # thermal_strength and its ratio to hbar), rises (the widths) or does
+        # not depend on it (b1), so the smallest and largest factor bound all
+        for factor in (min(factors, default=1.0), max(factors, default=1.0)):
+            scaled = replace(bath, hbar=bath.hbar * factor)
+            over = _overflowing(scaled)
+            if over is not None:
+                i = factors.index(factor)
+                raise ConfigError(f"scan.hbar_factors[{i}]: {over[0]} overflows the float range at hbar = {scaled.hbar!r}")
         return {"kind": "hbar", "factors": factors}
     raise ConfigError("scan: must contain 'separations' (+'sigma') or 'hbar_factors'")
 
@@ -319,7 +364,7 @@ def _cover(state: SuperpositionState, path: str) -> GridSpec:
 def _check_table_covers(scn: Scenario, grids: list[GridSpec]) -> None:
     """Refuse a table that ends inside the run's domain: the state's grid, the
     grid of the widest cat of a separation scan and the probe."""
-    points = [*(scn.probe or _default_probe(scn.state)), *(q for g in grids for q in (g.q_min, g.q_max))]
+    points = [*scn.probe, *(q for g in grids for q in (g.q_min, g.q_max))]
     lo, hi = scn.coupling.q_grid[0], scn.coupling.q_grid[-1]
     if not lo <= min(points) <= max(points) <= hi:
         raise ConfigError(f"coupling.q: the table spans [{lo}, {hi}] but the run reads f on [{min(points)}, {max(points)}]")
@@ -337,12 +382,8 @@ def parse_config(cfg: dict) -> Scenario:
     bath = _parse_bath(cfg, model)
     coupling = _parse_coupling(cfg)
     state, grid = _parse_state(cfg)
-    # GridSpec.cover fails on widths and spans beyond the float range, and
-    # may ask for more points than the cap; refuse those here rather than
-    # when the run starts
-    grids = [grid or _cover(state, "state")]
     times = _parse_times(cfg, bath.n_modes)
-    probe = None
+    probe = _default_probe(state)
     if "probe" in cfg:
         p = _get(cfg, "probe", "config", dict, required=True)
         probe = (
@@ -358,19 +399,20 @@ def parse_config(cfg: dict) -> Scenario:
         grid=grid,
         times=times,
         probe=probe,
-        scan=_parse_scan(cfg),
+        scan=_parse_scan(cfg, bath),
         oracle=_parse_oracle(cfg, bath),
         seed=_get(cfg, "seed", "config", int, default=0),
     )
+    grids = [grid]
     if scn.scan is not None and scn.scan["kind"] == "separation":
         with _field("scan"):
             widest = SuperpositionState.symmetric_cat(scn.scan["separations"][-1], scn.scan["sigma"])
         grids.append(_cover(widest, "scan"))
     if isinstance(coupling, TabulatedCoupling):
         _check_table_covers(scn, grids)
-    if grid is not None:
-        # the same GridCoverageError, and exit 3, as when the run builds the state
-        grid.check_covers(state)
+    # the same GridCoverageError, and exit 3, as when the run builds the
+    # state; an automatic grid always passes
+    grid.check_covers(state)
     return scn
 
 
@@ -402,8 +444,8 @@ def _write_scan(path: Path, first_column: str, keys, pairs):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _oracle_records(scn: Scenario, probe: tuple[float, float], seed: int) -> dict:
-    q1, q2 = probe
+def _oracle_records(scn: Scenario, seed: int) -> dict:
+    q1, q2 = scn.probe
     oracle = scn.oracle or {}
     result = {}
 
@@ -467,8 +509,7 @@ def run_scenario(source, out_dir=".", seed: int | None = None) -> dict:
     run_seed = scn.seed if seed is None else int(seed)
 
     rho0 = build_density_matrix(scn.state, grid=scn.grid, hbar=scn.model.hbar)
-    probe = scn.probe if scn.probe is not None else _default_probe(scn.state)
-    series = compute_series(rho0, scn.coupling, scn.bath, scn.times, probe)
+    series = compute_series(rho0, scn.coupling, scn.bath, scn.times, scn.probe)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -496,7 +537,7 @@ def run_scenario(source, out_dir=".", seed: int | None = None) -> dict:
     oracle_meta = None
     if scn.oracle is not None:
         oracle_path = out / f"{scn.name}_oracle.json"
-        records = _oracle_records(scn, probe, run_seed)
+        records = _oracle_records(scn, run_seed)
         oracle_path.write_text(json.dumps(records, indent=2, sort_keys=True) + "\n")
         oracle_meta = {
             kind: {k: v for k, v in scn.oracle[kind].items() if k != "times"}
@@ -520,7 +561,7 @@ def run_scenario(source, out_dir=".", seed: int | None = None) -> dict:
             "hbar": scn.bath.hbar,
             "thermal_strength": thermal_strength(scn.bath),
         },
-        "probe": {"q1": probe[0], "q2": probe[1]},
+        "probe": {"q1": scn.probe[0], "q2": scn.probe[1]},
         "time": {"t_max": float(scn.times[-1]), "n_steps": int(scn.times.size)},
         "scan": scan_meta,
         "oracle": oracle_meta,

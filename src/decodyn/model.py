@@ -159,8 +159,9 @@ class SinusoidalCoupling(CouplingFunction):
 class TabulatedCoupling(CouplingFunction):
     """f(Q) given by samples on a strictly increasing grid.
 
-    eval uses cubic interpolation; slope uses centered differences on the
-    table (O(h^2) accurate).  Evaluation outside the grid is a domain error.
+    eval uses cubic-spline interpolation and slope the derivative of the
+    same spline, so the difference quotient of f tends to its slope as dQ
+    goes to zero.  Evaluation outside the grid is a domain error.
     """
 
     q_grid: tuple[float, ...]
@@ -182,10 +183,6 @@ class TabulatedCoupling(CouplingFunction):
     def _spline(self) -> CubicSpline:
         return CubicSpline(self.q_grid, self.values)
 
-    @cached_property
-    def _slope_table(self) -> np.ndarray:
-        return np.gradient(np.asarray(self.values), np.asarray(self.q_grid))
-
     def _check_range(self, q: np.ndarray):
         lo, hi = self.q_grid[0], self.q_grid[-1]
         if np.any(q < lo) or np.any(q > hi):
@@ -197,4 +194,4 @@ class TabulatedCoupling(CouplingFunction):
 
     def _derivative(self, q):
         self._check_range(q)
-        return np.interp(q, self.q_grid, self._slope_table)
+        return self._spline(q, 1)

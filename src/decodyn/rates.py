@@ -9,10 +9,10 @@ with g = df/dQ for the classical rate and g = [f(Q1)-f(Q2)]/(Q1-Q2) for the
 quantum rate, and cb = thermal_strength(bath).  The rate is the t^2
 coefficient of the linear entropy, so it reads the entropy's support field:
 weights w on the mirror-paired support of rho
-(``DensityMatrixGrid.support()``) and exponents x = 2 (Q1-Q2)^2 g^2.  The
-ratio quantum/classical is therefore independent of hbar and of the bath
-for a fixed initial matrix; it equals 1 exactly for f = a*Q + b*Q**2, where
-one field serves both sides.
+(``DensityMatrixGrid.support()``, paired once per state) and exponents
+x = 2 (Q1-Q2)^2 g^2.  The ratio quantum/classical is independent of hbar
+and of the bath for a fixed initial matrix; it is 1 exactly for f = a*Q +
+b*Q**2, where ``strongdec`` gives both sides the slope as g.
 
 The field depends only on rho0 and f, so results are deterministic for a
 given grid.
@@ -29,7 +29,7 @@ import numpy as np
 from .bath import BathSpec, thermal_strength
 from .model import CouplingFunction
 from .states import DensityMatrixGrid, SuperpositionState, build_density_matrix
-from .strongdec import quotient_is_slope, support_field
+from .strongdec import support_field
 
 __all__ = [
     "RatePair",
@@ -63,14 +63,9 @@ class RatePair:
         return cls(classical_rate=classical, quantum_rate=quantum, ratio=ratio)
 
 
-def _integral(rho0: DensityMatrixGrid, f: CouplingFunction, side: str) -> float:
-    w, x, _ = support_field(rho0, f, side)
-    return float(np.dot(w, x))
-
-
 def _integrals(rho0: DensityMatrixGrid, f: CouplingFunction) -> tuple[float, float]:
-    i_c = _integral(rho0, f, "classical")
-    return i_c, i_c if quotient_is_slope(f) else _integral(rho0, f, "quantum")
+    fields = (support_field(rho0, f, side) for side in ("classical", "quantum"))
+    return tuple(float(np.dot(w, x)) for w, x, _ in fields)
 
 
 def _pair(integrals: tuple[float, float], cb: float, hbar: float) -> RatePair:
@@ -79,7 +74,7 @@ def _pair(integrals: tuple[float, float], cb: float, hbar: float) -> RatePair:
 
 
 def rate_pair(rho0: DensityMatrixGrid, f: CouplingFunction, cb: float, hbar: float) -> RatePair:
-    """Both rates, sharing one field when the two weights coincide."""
+    """Both rates, from the support pairs of rho0."""
     return _pair(_integrals(rho0, f), cb, hbar)
 
 

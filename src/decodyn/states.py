@@ -229,8 +229,13 @@ class DensityMatrixGrid:
         sum(h^2 |rho|^2) - 1 of the full grid.  Pairs whose summed weight is
         below 1e-17/n^2 are dropped, 1e-17 of weight in total.  A pure state
         pairs the 1-D support of a = h |psi|^2, since h^2 |rho|^2 =
-        a(Q1) a(Q2): the same pairs, without an n x n array.
+        a(Q1) a(Q2): the same pairs, without an n x n array.  Built once:
+        every call returns the same read-only arrays.
         """
+        return self._support
+
+    @cached_property
+    def _support(self):
         cut = _DROPPED_MASS / self.grid.n_points**2
         if self.psi is None:
             h = self.grid.spacing
@@ -244,7 +249,10 @@ class DensityMatrixGrid:
         else:
             i, j, w, defect = _pure_pairs(self.psi, self.grid.spacing, cut)
         q = self.grid.q
-        return q[i] - q[j], 0.5 * (q[i] + q[j]), w, defect
+        pairs = q[i] - q[j], 0.5 * (q[i] + q[j]), w
+        for a in pairs:
+            a.flags.writeable = False
+        return *pairs, defect
 
 
 def _pure_pairs(psi: np.ndarray, h: float, cut: float):

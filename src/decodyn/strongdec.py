@@ -24,13 +24,13 @@ trace is conserved exactly and a single-mode bath recoheres fully at
 t = 2*pi/omega.
 
 The entropy quadrature runs on the mirror-paired support of rho0,
-``DensityMatrixGrid.support()``: the exponent x = 2 (Q1-Q2)^2 g^2 is exactly
-symmetric under Q1 <-> Q2 and zero on the diagonal, so each cell above the
-diagonal carries the summed weight of itself and its mirror.  The support
-drops at most 1e-17 of weight, and since |expm1(-x b2)| <= 1 that bounds
-the change in S(t).  For a polynomial coupling of degree <= 2 the
-difference quotient is f'(Qbar) exactly, so the quantum side uses the slope
-and the entropy is evaluated once for both sides.
+``DensityMatrixGrid.support()``, paired once per state: the exponent
+x = 2 (Q1-Q2)^2 g^2 is exactly symmetric under Q1 <-> Q2 and zero on the
+diagonal, so each cell above the diagonal carries the summed weight of
+itself and its mirror.  The support drops at most 1e-17 of weight, and
+since |expm1(-x b2)| <= 1 that bounds the change in S(t).  For a polynomial
+of degree <= 2 the difference quotient is f'(Qbar) exactly, so ``_decay``
+gives the quantum side the slope and the entropy is evaluated once.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import time
@@ -409,15 +410,46 @@ def test_non_finite_numbers_rejected(tmp_path, capsys, overrides, field):
         ({"scan": {"separations": [1.0, 8.0], "sigma": 1e-7}}, "scan"),
         # the MC oracle draws one substream block of 2 normals per mode
         ({"bath": {"ohmic": dict(OHMIC, n_modes=cli._MAX_MC_MODES + 1)}, "oracle": {"mc": {"times": [1.0]}}}, "oracle.mc"),
+        # finite inputs whose thermal weights or 1/hbar overflow
+        ({"model": {"beta": 1e-310}}, "model.beta"),
+        ({"bath": {"modes": [{"m": 1.0, "omega": 1.0, "c": 1e200}]}}, "bath.modes[0]"),
+        ({"bath": {"modes": [{"m": 1e-320, "omega": 1.0, "c": 1.0}]}}, "bath.modes[0]"),
+        ({"bath": {"modes": [{"m": 1.0, "omega": 1e-110, "c": 1.0}]}}, "bath.modes[0]"),
+        ({"scan": {"hbar_factors": [1.0, 1e-320]}}, "scan.hbar_factors[1]"),
+        ({"model": {"hbar": 1e-320}}, "model.hbar"),
     ],
 )
-def test_config_errors_name_the_field_once(overrides, field):
-    # the message opens with the field's full path and says it only once
+def test_config_errors_name_the_field_once(tmp_path, capsys, overrides, field):
+    # the message opens with the field's full path and says it only once,
+    # and validate exits 2 with it
     with pytest.raises(ConfigError) as err:
         parse_config(small_config(**overrides))
     message = str(err.value)
     assert message.startswith(f"{field}: ")
     assert message.count(field) == 1
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(small_config(**overrides)))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@given(
+    factors=st.lists(st.sampled_from([1e-320, 1e-300, 1e-160, 1e-3, 1.0, 1e3, 1e160, 1e300]), min_size=1, max_size=4),
+    beta=st.sampled_from([None, 1e-3, 1.0, 1e3]),
+    omega=st.sampled_from([1e-50, 1.0, 1e100]),
+)
+def test_hbar_factors_refused_iff_a_scaled_bath_overflows(factors, beta, omega):
+    # the parser checks the smallest and largest factor only; every factor's
+    # bath, checked on its own, must give the same verdict
+    cfg = small_config(model={"hbar": 1.0, "beta": beta}, bath={"modes": [{"m": 1.0, "omega": omega, "c": 1.0}]})
+    bath = parse_config(cfg).bath
+    overflows = any(cli._overflowing(dataclasses.replace(bath, hbar=f)) for f in factors)
+    cfg["scan"] = {"hbar_factors": factors}
+    if overflows:
+        with pytest.raises(ConfigError, match=r"^scan\.hbar_factors\[\d\]: "):
+            parse_config(cfg)
+    else:
+        assert parse_config(cfg).scan["factors"] == factors
 
 
 def test_grid_cap_edges(tmp_path, capsys):

@@ -23,9 +23,10 @@ from decodyn.model import (
     SinusoidalCoupling,
     TabulatedCoupling,
 )
-from decodyn.rates import rate_pair
+from decodyn import states
+from decodyn.rates import hbar_scan, rate_pair
 from decodyn.states import DensityMatrixGrid, GaussianPacket, GridSpec, SuperpositionState, build_density_matrix
-from decodyn.cli import PRESETS, parse_config, preset_config
+from decodyn.cli import PRESETS, parse_config, preset_config, run_scenario
 from decodyn.strongdec import compute_series, entropy_series, support_field
 
 SINGLE = BathSpec(modes=(BathMode(1.0, 1.0, 1.0),))
@@ -208,3 +209,45 @@ def test_pure_and_dense_support_pair_the_same_cells():
         assert dq.tobytes() == dq_d.tobytes()
         assert qbar.tobytes() == qbar_d.tobytes()
         assert np.max(np.abs(w - w_d) / w_d) <= PAIR_WEIGHT_REL
+
+
+def _count_pairings(monkeypatch) -> list:
+    calls = []
+    pure_pairs = states._pure_pairs
+
+    def counted(*args):
+        calls.append(args)
+        return pure_pairs(*args)
+
+    monkeypatch.setattr(states, "_pure_pairs", counted)
+    return calls
+
+
+def test_hbar_scan_run_pairs_its_state_once(monkeypatch, tmp_path):
+    # both entropy sides of the series and the scan's rates read one pairing
+    calls = _count_pairings(monkeypatch)
+    run_scenario("hbar-scan", out_dir=tmp_path)
+    assert len(calls) == 1
+
+
+def test_rates_and_hbar_scan_share_one_pairing(monkeypatch):
+    calls = _count_pairings(monkeypatch)
+    rho0 = build_density_matrix(SuperpositionState.symmetric_cat(8.0, 0.2))
+    f = PolynomialCoupling((0.0, 0.0, 0.0, 1.0))
+    pair = rate_pair(rho0, f, thermal_strength(SINGLE), SINGLE.hbar)
+    assert hbar_scan(rho0, f, SINGLE, [1.0, 100.0])[0] == pair
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("held_as", ["psi", "values"])
+def test_support_is_built_once_and_read_only(held_as):
+    rho0 = build_density_matrix(SuperpositionState.symmetric_cat(4.0, 0.5))
+    if held_as == "values":
+        rho0 = DensityMatrixGrid(grid=rho0.grid, values=rho0.values, hbar=rho0.hbar)
+    first, again = rho0.support(), rho0.support()
+    assert first[3] == again[3]
+    for a, b in zip(first[:3], again[:3]):
+        assert a is b
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0

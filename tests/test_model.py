@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from decodyn.bath import BathMode, BathSpec
 from decodyn.model import (
     LinearCoupling,
     ModelConfig,
@@ -13,6 +14,7 @@ from decodyn.model import (
     SinusoidalCoupling,
     TabulatedCoupling,
 )
+from decodyn.strongdec import classical_factor, quantum_factor
 
 
 def test_model_config_validation():
@@ -134,8 +136,22 @@ def test_tabulated_matches_sampled_function():
     tab = TabulatedCoupling(tuple(q), tuple(np.sin(q)))
     x = np.linspace(-3.5, 3.5, 57)
     assert np.max(np.abs(tab.eval(x) - np.sin(x))) < 1e-6
-    # centered differences are O(h^2)
+    # the derivative of the interpolating spline
     assert np.max(np.abs(tab.slope(x) - np.cos(x))) < 1e-3
+
+
+def test_tabulated_quotient_tends_to_its_slope():
+    # slope differentiates the spline that eval interpolates, so on a coarse
+    # table the difference quotient still meets it as dQ -> 0 and the
+    # classical and quantum decay exponents agree at a small dQ
+    qs = np.linspace(-4.0, 4.0, 40)
+    tab = TabulatedCoupling(tuple(qs), tuple(np.sin(qs)))
+    x = np.linspace(-3.0, 3.0, 601)
+    assert np.max(np.abs(tab.finite_difference(x, 1e-5) - tab.slope(x))) < 1e-9
+    bath = BathSpec(modes=(BathMode(1.0, 1.0, 1.0),))
+    classical = classical_factor(1e-3, -1e-3, 1.0, tab, bath).log_modulus
+    quantum = quantum_factor(1e-3, -1e-3, 1.0, tab, bath).log_modulus
+    assert abs(quantum / classical - 1.0) < 1e-5
 
 
 def test_tabulated_validation_and_range():

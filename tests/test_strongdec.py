@@ -260,7 +260,7 @@ def test_entropy_series_scalar_and_array_forms():
 def test_series_columns_equal_the_point_functions(name):
     # every probe column is, bit for bit, the point function at that time
     scn = cli.parse_config(cli.preset_config(name))
-    probe = scn.probe or cli._default_probe(scn.state)
+    probe = scn.probe
     rho0 = build_density_matrix(scn.state, grid=scn.grid, hbar=scn.model.hbar)
     series = compute_series(rho0, scn.coupling, scn.bath, scn.times, probe)
     args = (scn.coupling, scn.bath)
