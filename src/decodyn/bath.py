@@ -120,10 +120,7 @@ class BathSpec:
     @cached_property
     def coth_factors(self) -> np.ndarray:
         """coth(beta*hbar*w/2) per mode; exactly 1 at zero temperature."""
-        if math.isinf(self.beta):
-            return np.ones(self.n_modes)
-        x = 0.5 * self.beta * self.hbar * self.omegas
-        return 1.0 / np.tanh(x)
+        return _coth(self.beta, self.hbar, self.omegas)
 
     @cached_property
     def mode_weights(self) -> dict[str, np.ndarray]:
@@ -135,13 +132,24 @@ class BathSpec:
             "b1": c2 / (m * w**3),
             "b2": c2 * coth / (2.0 * m * self.hbar * w**3),
             "b2_dot": c2 * coth / (2.0 * m * self.hbar * w**2),
-            "thermal_strength": c2 * coth / (2.0 * m * w),
+            "thermal_strength": _thermal_terms(c2, m, w, coth),
             "q_std": np.sqrt(self.hbar * coth / (2.0 * m * w)),
             "p_std": np.sqrt(m * self.hbar * w * coth / 2.0),
         }
         for a in weights.values():
             a.flags.writeable = False
         return weights
+
+
+def _coth(beta: float, hbar: float, omegas: np.ndarray) -> np.ndarray:
+    if math.isinf(beta):
+        return np.ones(omegas.size)
+    return 1.0 / np.tanh(0.5 * beta * hbar * omegas)
+
+
+def _thermal_terms(c2: np.ndarray, m: np.ndarray, w: np.ndarray, coth: np.ndarray) -> np.ndarray:
+    """The per-mode terms C^2 coth / (2 m w) of thermal_strength."""
+    return c2 * coth / (2.0 * m * w)
 
 
 def discretize_ohmic(

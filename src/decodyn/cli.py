@@ -273,7 +273,15 @@ def _parse_state(cfg: dict) -> tuple[SuperpositionState, GridSpec]:
         return state, GridSpec(q_min=q_min, q_max=q_max, n_points=n_points)
 
 
-def _parse_times(cfg: dict, n_modes: int) -> np.ndarray:
+def _check_phase(bath: BathSpec, t: float, path: str) -> None:
+    """Refuse a time at which the phase omega t of the fastest bath mode
+    overflows the float range: the kernels' sin and cos would turn it into
+    NaN in every column after t = 0."""
+    if not math.isfinite(float(np.max(bath.omegas)) * t):
+        raise ConfigError(f"{path}: omega t of the fastest bath mode overflows the float range at t = {t!r}")
+
+
+def _parse_times(cfg: dict, bath: BathSpec) -> np.ndarray:
     raw = _get(cfg, "time", "config", dict, required=True)
     t_max = _get(raw, "t_max", "time", float, required=True)
     n_steps = _get(raw, "n_steps", "time", int, required=True)
@@ -281,8 +289,9 @@ def _parse_times(cfg: dict, n_modes: int) -> np.ndarray:
         raise ConfigError(f"time.t_max: must be positive, got {t_max}")
     if not 2 <= n_steps <= _MAX_TIME_STEPS:
         raise ConfigError(f"time.n_steps: must be in [2, {_MAX_TIME_STEPS}], got {n_steps}")
-    if n_steps * n_modes > _MAX_KERNEL_CELLS:
-        raise ConfigError(f"time.n_steps: {n_steps} x {n_modes} bath modes exceeds {_MAX_KERNEL_CELLS} cells")
+    if n_steps * bath.n_modes > _MAX_KERNEL_CELLS:
+        raise ConfigError(f"time.n_steps: {n_steps} x {bath.n_modes} bath modes exceeds {_MAX_KERNEL_CELLS} cells")
+    _check_phase(bath, t_max, "time.t_max")
     return np.linspace(0.0, t_max, n_steps)
 
 
@@ -345,6 +354,9 @@ def _parse_oracle(cfg: dict, bath: BathSpec) -> dict | None:
         out["fock"] = {"times": times, "n_levels": n_levels}
     if not out:
         raise ConfigError("oracle: must contain 'mc' and/or 'fock'")
+    for kind, spec in out.items():
+        for i, t in enumerate(spec["times"]):
+            _check_phase(bath, t, f"oracle.{kind}.times[{i}]")
     return out
 
 
@@ -382,7 +394,7 @@ def parse_config(cfg: dict) -> Scenario:
     bath = _parse_bath(cfg, model)
     coupling = _parse_coupling(cfg)
     state, grid = _parse_state(cfg)
-    times = _parse_times(cfg, bath.n_modes)
+    times = _parse_times(cfg, bath)
     probe = _default_probe(state)
     if "probe" in cfg:
         p = _get(cfg, "probe", "config", dict, required=True)

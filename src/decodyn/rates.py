@@ -20,13 +20,12 @@ given grid.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import BathSpec, thermal_strength
+from .bath import BathSpec, _coth, _thermal_terms, thermal_strength
 from .model import CouplingFunction
 from .states import DensityMatrixGrid, SuperpositionState, build_density_matrix
 from .strongdec import support_field
@@ -116,10 +115,14 @@ def hbar_scan(
     hbar_factors,
 ) -> list[RatePair]:
     """Rates at rescaled hbar with the initial matrix held fixed.  Each rate
-    scales with hbar, the ratio does not."""
+    scales with hbar, the ratio does not.  Each factor's thermal strength is
+    summed from the bath's arrays, the same bytes as thermal_strength of the
+    bath rebuilt at that hbar."""
     integrals = _integrals(rho0, f)
+    c2, m, w = bath.couplings**2, bath.masses, bath.omegas
     out = []
     for factor in hbar_factors:
-        scaled = dataclasses.replace(bath, hbar=bath.hbar * float(factor))
-        out.append(_pair(integrals, thermal_strength(scaled), scaled.hbar))
+        hbar = bath.hbar * float(factor)
+        cb = float(np.sum(_thermal_terms(c2, m, w, _coth(bath.beta, hbar, w))))
+        out.append(_pair(integrals, cb, hbar))
     return out

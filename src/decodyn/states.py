@@ -212,6 +212,14 @@ class DensityMatrixGrid:
         _check_trace(float(np.sum(d.real)) * grid.spacing)
         self.values = v
 
+    @classmethod
+    def _hermitian(cls, grid: GridSpec, values: np.ndarray, hbar: float) -> "DensityMatrixGrid":
+        """A matrix Hermitian with a real diagonal by construction: only its trace is checked, in O(n)."""
+        rho = cls.__new__(cls)
+        rho.grid, rho.hbar, rho.psi, rho.values = grid, hbar, None, values
+        _check_trace(rho.trace())
+        return rho
+
     @cached_property
     def values(self) -> np.ndarray:
         return np.outer(self.psi, self.psi.conj())
@@ -305,7 +313,8 @@ class WignerGrid:
         if v.shape != (q.size, p.size):
             raise ValueError(f"values must be {(q.size, p.size)}, got {v.shape}")
         mass = float(np.trapezoid(np.trapezoid(v, p, axis=1), q))
-        if abs(mass - 1.0) > 1e-6:
+        # the comparison also refuses a non-finite mass
+        if not abs(mass - 1.0) <= 1e-6:
             raise ValueError(f"Wigner mass {mass} != 1")
 
 
@@ -346,23 +355,6 @@ def position_variance(rho: DensityMatrixGrid) -> float:
     return float(np.trapezoid(d * (q - mean) ** 2, q) / norm)
 
 
-def _half_lattice(n: int, odd: int, strides: tuple[int, int]):
-    """Flat indices pairing the i1 >= i2 half of one sublattice with rho.
-
-    Lattice cell (i, k), k >= 0, holds rho[i+k+odd, i-k]: the cell at
-    midpoint i + odd/2 and offset 2k + odd.  Returns, column by column, the
-    lattice indices i*strides[0] + k*strides[1] of the cells inside the
-    grid, their matrix indices and those of their mirrors rho[i-k, i+k+odd].
-    """
-    k = np.arange((n + 1 - odd) // 2)
-    counts = n - odd - 2 * k
-    i = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    k = np.repeat(k, counts)
-    i += k
-    lattice = i * strides[0] + k * strides[1]
-    return lattice, i * (n + 1) + k * (n - 1) + odd * n, i * (n + 1) - k * (n - 1) + odd
-
-
 def wigner_transform(rho: DensityMatrixGrid) -> WignerGrid:
     """Fourier transform along the off-diagonal coordinate at fixed midpoint,
     normalized by 1/(2 pi hbar) so the roundtrip with inverse_wigner is the
@@ -371,12 +363,15 @@ def wigner_transform(rho: DensityMatrixGrid) -> WignerGrid:
     n = rho.grid.n_points
     h = rho.grid.spacing
     hbar = rho.hbar
-    m = n // 2 + 1
-    lattice, cells, _ = _half_lattice(n, 0, (m, 1))
-    v = np.zeros(n * m, dtype=complex)
-    v[lattice] = rho.values.ravel()[cells]
+    psi = rho.psi
+    # column k holds rho[i+k, i-k] at midpoint i: the matrix diagonal at
+    # offset -2k, read straight from psi for a pure state
+    v = np.zeros((n, n // 2 + 1), dtype=complex)
+    for k in range((n + 1) // 2):
+        d = 2 * k
+        v[k : n - k, k] = np.diagonal(rho.values, -d) if psi is None else psi[d:] * psi[: n - d].conj()
     # FFT index l - n//2 is the centred momentum index l
-    w = np.fft.fftshift(np.fft.hfft(v.reshape(n, m), n, axis=1), axes=1)
+    w = np.fft.fftshift(np.fft.hfft(v, n, axis=1), axes=1)
     w *= h / (np.pi * hbar)
     p = (np.arange(n) - n // 2) * (np.pi * hbar / (h * n))
     return WignerGrid(q=rho.grid.q.copy(), p=p, values=w, hbar=hbar)
@@ -387,7 +382,9 @@ def inverse_wigner(w: WignerGrid) -> DensityMatrixGrid:
     wigner_transform on the even Q1+Q2 sublattice, spectral half-sample
     shift on the rest.  A zero-padded real FFT of each row of W gives the
     sum at every offset i1 - i2 >= 0: even bins on the even sublattice, odd
-    bins half a step off it.  The i1 < i2 half is the exact conjugate."""
+    bins half a step off it.  The i1 < i2 half is the exact conjugate, so
+    the result is Hermitian with a real diagonal by construction and only
+    its trace is checked."""
     n = w.q.size
     if w.p.size != n:
         raise ValueError(f"p-grid length {w.p.size} incompatible with q-grid length {n}")
@@ -403,7 +400,7 @@ def inverse_wigner(w: WignerGrid) -> DensityMatrixGrid:
     else:
         phase = np.exp(-1j * np.pi * (np.arange(n) * (n // 2) % (2 * n)) / n) * dp_expect
     r = np.fft.rfft(w.values, 2 * n, axis=1).T
-    # both sublattices offset-major, so each midpoint column is contiguous
+    # both sublattices offset-major: row k holds offset 2k + parity, a diagonal
     even = np.conjugate(r[0:n:2], order="C")
     even *= phase[0::2, None]
     odd = np.conjugate(r[1:n:2], order="C")
@@ -415,16 +412,18 @@ def inverse_wigner(w: WignerGrid) -> DensityMatrixGrid:
     odd = np.fft.fft(odd, axis=1)
     odd *= np.exp(1j * np.pi * np.fft.fftfreq(n))
     odd = np.fft.ifft(odd, axis=1)
-    rho = np.empty(n * n, dtype=complex)
-    for parity, lat in ((0, even), (1, odd)):
-        lattice, cells, mirror = _half_lattice(n, parity, (1, n))
-        vals = lat.ravel()[lattice]
-        rho[cells] = vals
-        rho[mirror] = vals.conj()
-    rho = rho.reshape(n, n)
+    # offset d sits at midpoints k..n-k-parity of row k, d = 2k + parity:
+    # the diagonal below the main one at d, and conjugated above it
+    rho = np.empty((n, n), dtype=complex)
+    flat = rho.reshape(-1)
+    for d in range(1, n):
+        k, parity = divmod(d, 2)
+        below = (even, odd)[parity][k, k : n - k - parity]
+        flat[d * n :: n + 1] = below
+        np.conjugate(below, out=flat[d : (n - d) * n : n + 1])
     np.fill_diagonal(rho, even[0].real)
     grid = GridSpec(q_min=float(w.q[0]), q_max=float(w.q[-1]), n_points=n)
-    return DensityMatrixGrid(grid=grid, values=rho, hbar=w.hbar)
+    return DensityMatrixGrid._hermitian(grid, rho, w.hbar)
 
 
 def wigner_purity(w: WignerGrid) -> float:

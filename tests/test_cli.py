@@ -44,6 +44,9 @@ TABLE = {"variant": "tabulated", "q": [-5, -1, 1, 5], "values": [-5, -1, 1, 5]}
 SMALL_STATE = {"packets": [{"center_q": 0.0, "sigma": 0.1}]}
 
 
+# a mode whose weights are all finite, but whose phase omega t overflows
+# past t = 1.8e8
+FAST_MODE = {"modes": [{"m": 1.0, "omega": 1e300, "c": 1.0}]}
 GRID_OVER_CAP = {"q_min": -5.0, "q_max": 5.0, "n_points": cli._MAX_GRID_POINTS + 1}
 
 
@@ -417,6 +420,10 @@ def test_non_finite_numbers_rejected(tmp_path, capsys, overrides, field):
         ({"bath": {"modes": [{"m": 1.0, "omega": 1e-110, "c": 1.0}]}}, "bath.modes[0]"),
         ({"scan": {"hbar_factors": [1.0, 1e-320]}}, "scan.hbar_factors[1]"),
         ({"model": {"hbar": 1e-320}}, "model.hbar"),
+        # finite times at which omega t of the fastest mode overflows
+        ({"bath": FAST_MODE, "time": {"t_max": 1e10, "n_steps": 20}}, "time.t_max"),
+        ({"bath": FAST_MODE, "oracle": {"mc": {"times": [1.0, 1e10]}}}, "oracle.mc.times[1]"),
+        ({"bath": FAST_MODE, "oracle": {"fock": {"times": [-1e10]}}}, "oracle.fock.times[0]"),
     ],
 )
 def test_config_errors_name_the_field_once(tmp_path, capsys, overrides, field):
@@ -431,6 +438,19 @@ def test_config_errors_name_the_field_once(tmp_path, capsys, overrides, field):
     path.write_text(json.dumps(small_config(**overrides)))
     assert main(["validate", str(path)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_overflowing_phase_refused_before_the_run(tmp_path, capsys):
+    # the run would write nan in every column after t = 0
+    path = tmp_path / "fast.json"
+    path.write_text(json.dumps(small_config(bath=FAST_MODE, time={"t_max": 1e10, "n_steps": 20})))
+    for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "out")]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: time.t_max: omega t of the fastest bath mode")
+    assert not (tmp_path / "out").exists()
+    # a time whose phase stays finite passes
+    path.write_text(json.dumps(small_config(bath=FAST_MODE, time={"t_max": 1e8, "n_steps": 20})))
+    assert main(["validate", str(path)]) == 0
 
 
 @given(

@@ -1,8 +1,11 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from decodyn.bath import BathMode, BathSpec, discretize_ohmic, thermal_strength
 from decodyn.model import LinearCoupling, PolynomialCoupling, QuadraticCoupling, SinusoidalCoupling
@@ -150,6 +153,23 @@ def test_hbar_scan_ratio_invariant():
     assert abs(r1 - r2) <= 1e-12 * abs(r1)
     # each rate scales down with hbar
     assert pairs[1].quantum_rate == pytest.approx(pairs[0].quantum_rate / 100, rel=1e-12)
+
+
+CAT = build_density_matrix(SuperpositionState.symmetric_cat(8.0, 0.2))
+
+
+@given(
+    factors=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=5),
+    beta=st.just(math.inf) | st.floats(1e-2, 1e2),
+)
+def test_hbar_scan_matches_a_bath_rebuilt_per_factor(factors, beta):
+    # the scan sums each factor's thermal strength from the bath's arrays; it
+    # must be the same bytes as the strength of the bath rebuilt at that hbar
+    bath = discretize_ohmic(0.25, 1.0, 16, 5.0, beta=beta, hbar=0.7)
+    pairs = hbar_scan(CAT, CUBIC, bath, factors)
+    for factor, pair in zip(factors, pairs):
+        scaled = dataclasses.replace(bath, hbar=bath.hbar * factor)
+        assert pair == rate_pair(CAT, CUBIC, thermal_strength(scaled), scaled.hbar)
 
 
 def test_ratio_underflow_reported_as_infinity():

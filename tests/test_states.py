@@ -7,6 +7,7 @@ from decodyn.states import (
     GridCoverageError,
     GridSpec,
     SuperpositionState,
+    WignerGrid,
     build_density_matrix,
     inverse_wigner,
     position_variance,
@@ -186,6 +187,29 @@ def test_incompatible_grids_rejected():
     stretched = dataclasses.replace(w, p=w.p * 1.5, values=w.values / 1.5)
     with pytest.raises(ValueError, match="conjugate"):
         inverse_wigner(stretched)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_wigner_grid_refuses_a_non_finite_entry(bad):
+    w = wigner_transform(build_density_matrix(SuperpositionState.single(0.7)))
+    values = w.values.copy()
+    values[w.q.size // 2, 3] = bad
+    with pytest.raises(ValueError, match="Wigner mass"):
+        WignerGrid(w.q, w.p, values, w.hbar)
+    with pytest.raises(ValueError, match="Wigner mass nan"):
+        WignerGrid(np.arange(16.0), np.arange(16.0), np.full((16, 16), np.nan))
+
+
+def test_inverse_refuses_a_non_finite_wigner_by_its_trace():
+    # the inverse checks only the trace of its output; a NaN anywhere in W
+    # reaches the diagonal through its row's FFT
+    w = wigner_transform(build_density_matrix(SuperpositionState.single(0.7)))
+    for cell in ((0, 0), (w.q.size // 2, w.p.size - 1), (w.q.size - 1, 7)):
+        values = w.values.copy()
+        values[cell] = np.nan
+        object.__setattr__(w, "values", values)
+        with pytest.raises(ValueError, match="trace nan"):
+            inverse_wigner(w)
 
 
 def test_purity_converges_under_grid_refinement():

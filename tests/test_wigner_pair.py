@@ -4,7 +4,9 @@
 antidiagonals and takes one Hermitian FFT; ``inverse_wigner`` takes one
 zero-padded real FFT per row, whose even bins are the even sublattice and
 whose odd bins, shifted half a step in midpoint, are the odd sublattice,
-and mirrors the i1 >= i2 half by conjugation.  The reference below is an
+and mirrors the i1 >= i2 half by conjugation.  Both move their cells one
+matrix diagonal at a time; the same FFTs with the flat index arrays of
+``half_lattice`` instead must give the same bytes.  The reference below is an
 earlier path, kept as it was: a twiddled full-length DFT, a per-column
 gather loop and a 2n x 2n zero-padded upsample read at its odd-odd nodes.
 Its twiddles carry about n eps of phase error, so the two agree to
@@ -16,6 +18,7 @@ shifts the spectrum by one bin), so its odd cells are not compared there.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given
@@ -25,7 +28,7 @@ from decodyn.states import (
     GaussianPacket,
     GridSpec,
     SuperpositionState,
-    _half_lattice,
+    WignerGrid,
     build_density_matrix,
     inverse_wigner,
     purity,
@@ -241,26 +244,109 @@ def test_pair_against_long_double_oracle(rho):
         assert err <= oracle_errors(ref, exact_odd, 1)
 
 
-def test_sublattices_cover_every_cell_once():
-    for n in (16, 17, 64, 127):
-        cells, mirrors = [], []
-        for odd in (0, 1):
-            width = n // 2 + 1
-            lattice_cells, matrix, mirror = _half_lattice(n, odd, (width, 1))
-            assert np.unique(lattice_cells).size == lattice_cells.size
-            i, k = np.divmod(lattice_cells, width)
-            i1, i2 = np.divmod(matrix, n)
-            # lattice (i, k) holds rho[i+k+odd, i-k] on the i1 >= i2 half
-            assert np.array_equal(i1, i + k + odd) and np.array_equal(i2, i - k)
-            assert np.all(k >= 0) and np.all((i1 + i2) % 2 == odd)
-            assert np.array_equal(mirror, i2 * n + i1)
-            # the strides only relabel the lattice cells
-            lattice_t, matrix_t, mirror_t = _half_lattice(n, odd, (1, n))
-            assert np.array_equal(lattice_t, k * n + i)
-            assert np.array_equal(matrix_t, matrix) and np.array_equal(mirror_t, mirror)
-            cells.append(matrix)
-            mirrors.append(mirror[matrix != mirror])
-        cells = np.concatenate(cells)
-        diagonal = np.arange(n) * (n + 1)
-        assert np.array_equal(np.sort(cells[np.isin(cells, diagonal)]), diagonal)
-        assert np.array_equal(np.sort(np.concatenate([cells] + mirrors)), np.arange(n * n))
+def half_lattice(n, odd, strides):
+    """Flat indices pairing the i1 >= i2 half of one sublattice with rho,
+    the scatter and gather of an earlier pair, kept as it was.
+
+    Lattice cell (i, k), k >= 0, holds rho[i+k+odd, i-k]: the cell at
+    midpoint i + odd/2 and offset 2k + odd.  Returns, column by column, the
+    lattice indices i*strides[0] + k*strides[1] of the cells inside the
+    grid, their matrix indices and those of their mirrors rho[i-k, i+k+odd].
+    """
+    k = np.arange((n + 1 - odd) // 2)
+    counts = n - odd - 2 * k
+    i = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    k = np.repeat(k, counts)
+    i += k
+    lattice = i * strides[0] + k * strides[1]
+    return lattice, i * (n + 1) + k * (n - 1) + odd * n, i * (n + 1) - k * (n - 1) + odd
+
+
+def half_lattice_transform(rho):
+    """The forward transform with the index gather of half_lattice."""
+    n, h = rho.grid.n_points, rho.grid.spacing
+    m = n // 2 + 1
+    lattice, cells, _ = half_lattice(n, 0, (m, 1))
+    v = np.zeros(n * m, dtype=complex)
+    v[lattice] = rho.values.ravel()[cells]
+    w = np.fft.fftshift(np.fft.hfft(v.reshape(n, m), n, axis=1), axes=1)
+    w *= h / (np.pi * rho.hbar)
+    return w
+
+
+def half_lattice_inverse(w):
+    """The inverse transform with the index scatter of half_lattice."""
+    n = w.q.size
+    h = float(w.q[1] - w.q[0])
+    dp = np.pi * w.hbar / (h * n)
+    if n % 2 == 0:
+        phase = np.array([1, -1j, -1, 1j])[np.arange(n) % 4] * dp
+    else:
+        phase = np.exp(-1j * np.pi * (np.arange(n) * (n // 2) % (2 * n)) / n) * dp
+    r = np.fft.rfft(w.values, 2 * n, axis=1).T
+    even = np.conjugate(r[0:n:2], order="C")
+    even *= phase[0::2, None]
+    odd = np.conjugate(r[1:n:2], order="C")
+    odd *= phase[1::2, None]
+    odd = np.fft.fft(odd, axis=1)
+    odd *= np.exp(1j * np.pi * np.fft.fftfreq(n))
+    odd = np.fft.ifft(odd, axis=1)
+    rho = np.empty(n * n, dtype=complex)
+    for parity, lat in ((0, even), (1, odd)):
+        lattice, cells, mirror = half_lattice(n, parity, (1, n))
+        vals = lat.ravel()[lattice]
+        rho[cells] = vals
+        rho[mirror] = vals.conj()
+    rho = rho.reshape(n, n)
+    np.fill_diagonal(rho, even[0].real)
+    return rho
+
+
+def nan_empty(shape, dtype=float, **kwargs):
+    """np.empty that fills with NaN, so an unwritten cell shows."""
+    return np.full(shape, np.nan, dtype=dtype, **kwargs)
+
+
+def diagonal_slices(n):
+    """The flat cells of an n x n matrix that inverse_wigner writes: the main
+    diagonal, then for each offset d = 1..n-1 the diagonal d below it and
+    its mirror d above it."""
+    cells = np.arange(n * n)
+    out = [cells[:: n + 1]]
+    for d in range(1, n):
+        out += [cells[d * n :: n + 1], cells[d : (n - d) * n : n + 1]]
+    return out
+
+
+def unit_mass_wigner(n, seed, hbar=1.0):
+    """A random real W on an n-point grid and its conjugate momentum grid,
+    scaled to unit mass: no state, but an input the inverse accepts.  Its
+    edges are zero, so the trapezoid mass is the rectangle sum, the trace of
+    the inverse."""
+    q = np.linspace(-5.0, 5.0, n)
+    p = (np.arange(n) - n // 2) * (np.pi * hbar / ((q[1] - q[0]) * n))
+    w = np.zeros((n, n))
+    w[1:-1, 1:-1] = np.random.default_rng(seed).random((n - 2, n - 2))
+    w /= np.trapezoid(np.trapezoid(w, p, axis=1), q)
+    return WignerGrid(q, p, w, hbar)
+
+
+@given(st.sampled_from((16, 17, 64, 127)), st.integers(0, 2**32 - 1))
+def test_diagonal_slices_write_every_cell_once(n, seed):
+    w = unit_mass_wigner(n, seed)
+    with mock.patch("numpy.empty", nan_empty):
+        back = inverse_wigner(w).values
+    assert not np.isnan(back).any()
+    assert np.array_equal(back, half_lattice_inverse(w))
+    # the two slices of offset d hold n - d cells each, and with the main
+    # diagonal they hold every cell of the matrix once
+    slices = diagonal_slices(n)
+    assert [s.size for s in slices[1:]] == [n - d for d in range(1, n) for _ in range(2)]
+    assert np.array_equal(np.sort(np.concatenate(slices)), np.arange(n * n))
+
+
+@given(st.integers(64, 129).flatmap(cat_states))
+def test_pair_matches_the_half_lattice_reference(rho):
+    w = wigner_transform(rho)
+    assert np.array_equal(w.values, half_lattice_transform(rho))
+    assert np.array_equal(inverse_wigner(w).values, half_lattice_inverse(w))
