@@ -21,11 +21,12 @@ periodic part, so the phase keeps winding.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from . import _pool
 
 __all__ = [
     "BathMode",
@@ -44,29 +45,13 @@ __all__ = [
 # reproduces the same draws.
 _STREAM_SAMPLES = 4096
 
-# Substreams of one call are filled on up to _WORKERS threads (numpy's Philox
-# normal fill releases the GIL) once a row holds at least _WIDE_ROW normals;
-# narrower rows are drawn serially, where the thread hand-off costs more than
-# it saves.  Callers that draw a long range take it in _CHUNK_SAMPLES pieces,
-# one substream per worker.
-_WORKERS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1, 4)
+# Substreams of one call are filled on the shared pool's WORKERS threads
+# (numpy's Philox normal fill releases the GIL) once a row holds at least
+# _WIDE_ROW normals; narrower rows are drawn serially, where the thread
+# hand-off costs more than it saves.  Callers that draw a long range take it
+# in _CHUNK_SAMPLES pieces, one substream per worker.
 _WIDE_ROW = 16
-_CHUNK_SAMPLES = _WORKERS * _STREAM_SAMPLES
-
-_pool = None
-_pool_pid = None
-
-
-def _thread_pool():
-    """The shared substream pool, built on first use and again after a fork
-    (a child inherits the pool object but none of its threads)."""
-    global _pool, _pool_pid
-    if _pool_pid != os.getpid():
-        from concurrent.futures import ThreadPoolExecutor
-
-        _pool = ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="decodyn-draw")
-        _pool_pid = os.getpid()
-    return _pool
+_CHUNK_SAMPLES = _pool.WORKERS * _STREAM_SAMPLES
 
 
 @dataclass(frozen=True)
@@ -273,9 +258,9 @@ def thermal_sample_block(bath: BathSpec, seed: int, start: int, count: int):
         out *= widths
 
     streams = range(first, last + 1)
-    if _WORKERS > 1 and len(streams) > 1 and 2 * n >= _WIDE_ROW:
+    if _pool.WORKERS > 1 and len(streams) > 1 and 2 * n >= _WIDE_ROW:
         # list() waits for every fill and re-raises the first failure
-        list(_thread_pool().map(fill, streams))
+        list(_pool.thread_pool().map(fill, streams))
     else:
         for stream in streams:
             fill(stream)

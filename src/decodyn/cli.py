@@ -19,6 +19,7 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,7 @@ from .model import (
 from .oracle import FockConfig, fock_quantum_factor, mc_classical_factor
 from .rates import hbar_scan, separation_scan
 from .states import (
+    DensityMatrixGrid,
     GaussianPacket,
     GridCoverageError,
     GridSpec,
@@ -66,6 +68,11 @@ class Scenario:
     oracle: dict | None
     seed: int
 
+    @cached_property
+    def rho0(self) -> DensityMatrixGrid:
+        """The initial state on the run's grid, built on first read."""
+        return build_density_matrix(self.state, grid=self.grid, hbar=self.model.hbar)
+
 
 # Sizes read from a config are capped before anything is allocated: the
 # kernels b1, b2 and b2_dot each build an n_steps x n_modes array, the MC
@@ -73,7 +80,12 @@ class Scenario:
 # sampling thread, the Fock oracle dense (2 n_levels)^2 matrices, and every
 # state grid its 1-D arrays of n_points.  Each entry of an oracle times list
 # costs one oracle evaluation and each scan point one rate pair, so those
-# lists hold at most _MAX_LIST_ENTRIES.
+# lists hold at most _MAX_LIST_ENTRIES.  The entropy and rate quadratures run
+# over a state's support pairs (DensityMatrixGrid.support()), which grow as
+# m^2 in its m support cells: the pairs of the state and of every
+# separation-scan cat are counted from psi before any is built, at most
+# _MAX_PAIRS each (memory), and the state's pairs times n_steps at most
+# _MAX_PAIR_TIMES (the entropy loop).
 _MAX_TIME_STEPS = 100_000
 _MAX_BATH_MODES = 100_000
 _MAX_KERNEL_CELLS = 10_000_000
@@ -82,6 +94,8 @@ _MAX_MC_MODES = 1024
 _MAX_FOCK_LEVELS = 512
 _MAX_GRID_POINTS = 2**20
 _MAX_LIST_ENTRIES = 1000
+_MAX_PAIRS = 1 << 24
+_MAX_PAIR_TIMES = 1 << 31
 
 
 @contextmanager
@@ -425,7 +439,29 @@ def parse_config(cfg: dict) -> Scenario:
     # the same GridCoverageError, and exit 3, as when the run builds the
     # state; an automatic grid always passes
     grid.check_covers(state)
+    _check_pairs(scn)
     return scn
+
+
+def _cap_pairs(pairs: int, path: str) -> None:
+    if pairs > _MAX_PAIRS:
+        raise ConfigError(f"{path}: {pairs} support pairs, more than {_MAX_PAIRS}; use a coarser grid")
+
+
+def _check_pairs(scn: Scenario) -> None:
+    """Refuse a run past the pair budget; the pairs are counted from psi,
+    and none is built."""
+    with _field("state"):
+        pairs = scn.rho0.pair_count()
+    _cap_pairs(pairs, "state")
+    if pairs * scn.times.size > _MAX_PAIR_TIMES:
+        raise ConfigError(
+            f"state: {pairs} support pairs x {scn.times.size} times is more than {_MAX_PAIR_TIMES} pair-times"
+        )
+    if scn.scan is not None and scn.scan["kind"] == "separation":
+        for sep in scn.scan["separations"]:
+            cat = SuperpositionState.symmetric_cat(sep, scn.scan["sigma"])
+            _cap_pairs(build_density_matrix(cat, hbar=scn.bath.hbar).pair_count(), "scan")
 
 
 def _default_probe(state: SuperpositionState) -> tuple[float, float]:
@@ -520,7 +556,7 @@ def run_scenario(source, out_dir=".", seed: int | None = None) -> dict:
     scn = parse_config(cfg)
     run_seed = scn.seed if seed is None else int(seed)
 
-    rho0 = build_density_matrix(scn.state, grid=scn.grid, hbar=scn.model.hbar)
+    rho0 = scn.rho0
     series = compute_series(rho0, scn.coupling, scn.bath, scn.times, scn.probe)
 
     out = Path(out_dir)

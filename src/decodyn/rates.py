@@ -64,7 +64,8 @@ class RatePair:
 
 def _integrals(rho0: DensityMatrixGrid, f: CouplingFunction) -> tuple[float, float]:
     fields = (support_field(rho0, f, side) for side in ("classical", "quantum"))
-    return tuple(float(np.dot(w, x)) for w, x, _ in fields)
+    # numpy's pairwise sum runs in an order fixed by the array alone
+    return tuple(float((w * x).sum()) for w, x, _ in fields)
 
 
 def _pair(integrals: tuple[float, float], cb: float, hbar: float) -> RatePair:

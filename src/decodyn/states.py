@@ -242,9 +242,21 @@ class DensityMatrixGrid:
         """
         return self._support
 
+    def pair_count(self) -> int:
+        """The number of pairs ``support()`` keeps.  A pure state counts
+        them without building them, in O(m log m) over its m candidate
+        cells; a matrix given as ``values`` builds them."""
+        if self.psi is None:
+            return int(self._support[2].size)
+        return _pure_pair_count(self.psi, self.grid.spacing, self._cut)
+
+    @property
+    def _cut(self) -> float:
+        return _DROPPED_MASS / self.grid.n_points**2
+
     @cached_property
     def _support(self):
-        cut = _DROPPED_MASS / self.grid.n_points**2
+        cut = self._cut
         if self.psi is None:
             h = self.grid.spacing
             w = np.abs(self.values)
@@ -263,16 +275,22 @@ class DensityMatrixGrid:
         return *pairs, defect
 
 
-def _pure_pairs(psi: np.ndarray, h: float, cut: float):
-    """Pairs i < j of a pure state, whose weight 2 a_i a_j (a = h |psi|^2) is
-    at least cut, in row-major order, with their weights and the defect
-    (sum a)^2 - 1.  Only cells with 2 a_i max(a) >= cut can be in a pair, so
-    the rows are taken in chunks over those cells alone."""
+def _pure_cells(psi: np.ndarray, h: float, cut: float):
+    """a = h |psi|^2 and the cells that can be in a pair of a pure state:
+    those with 2 a_i max(a) >= cut."""
     a = np.abs(psi)
     a *= a
     a *= h
+    return a, np.flatnonzero(2.0 * a * a.max() >= cut)
+
+
+def _pure_pairs(psi: np.ndarray, h: float, cut: float):
+    """Pairs i < j of a pure state, whose weight 2 a_i a_j (a = h |psi|^2) is
+    at least cut, in row-major order, with their weights and the defect
+    (sum a)^2 - 1.  Only the candidate cells of _pure_cells can be in a
+    pair, so the rows are taken in chunks over those cells alone."""
+    a, cells = _pure_cells(psi, h, cut)
     total = float(np.sum(a))
-    cells = np.flatnonzero(2.0 * a * a.max() >= cut)
     b = a[cells]
     step = max(1, _CHUNK_CELLS // b.size)
     i, j, w = [], [], []
@@ -284,6 +302,29 @@ def _pure_pairs(psi: np.ndarray, h: float, cut: float):
         j.append(cells[cols + r])
         w.append(prod[keep])
     return np.concatenate(i), np.concatenate(j), np.concatenate(w), total * total - 1.0
+
+
+def _pure_pair_count(psi: np.ndarray, h: float, cut: float) -> int:
+    """The number of pairs _pure_pairs keeps, without building them.  With
+    the candidate weights sorted, the partners j that keep (2 a_i) a_j >=
+    cut, rounded as the pairing rounds it, are a suffix: one searchsorted
+    per cell finds it to within rounding, and runs of equal weights are
+    stepped over until the rounded product agrees."""
+    a, cells = _pure_cells(psi, h, cut)
+    s = np.sort(a[cells])
+    c = 2.0 * s
+    k = np.searchsorted(s, cut / c)
+    while True:
+        low = k > 0
+        low[low] = c[low] * s[k[low] - 1] >= cut
+        high = k < s.size
+        high[high] = c[high] * s[k[high]] < cut
+        if not (low.any() or high.any()):
+            break
+        k[low] = np.searchsorted(s, s[k[low] - 1])
+        k[high] = np.searchsorted(s, s[k[high]], "right")
+    # each pair i != j is counted from both ends, and i = j is no pair
+    return int(np.sum(s.size - k) - np.count_nonzero(c * s >= cut)) // 2
 
 
 def _diagonal(rho: DensityMatrixGrid) -> np.ndarray:

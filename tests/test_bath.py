@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from decodyn import _pool
 from decodyn import bath as bath_module
 from decodyn import oracle as oracle_module
 from decodyn.bath import (
@@ -184,7 +185,7 @@ def _with_workers(workers, fn, *args):
     """fn(*args) with the sampler's worker count set to workers and the MC
     chunk to one substream per worker, as on a host with that many cores."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bath_module, "_WORKERS", workers)
+        mp.setattr(_pool, "WORKERS", workers)
         mp.setattr(oracle_module, "_CHUNK_SAMPLES", workers * STREAM)
         return fn(*args)
 
@@ -263,7 +264,7 @@ def _mc_in_child(results):
 def test_mc_runs_in_a_forked_child(monkeypatch):
     # the parent's pool threads do not exist in a fork; the child must not
     # hand its substreams to them
-    monkeypatch.setattr(bath_module, "_WORKERS", 2)
+    monkeypatch.setattr(_pool, "WORKERS", 2)
     monkeypatch.setattr(oracle_module, "_CHUNK_SAMPLES", 2 * STREAM)
     expected = _mc_50_modes()
     ctx = multiprocessing.get_context("fork")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from decodyn import cli
+from decodyn import cli, states
 from decodyn.bath import discretize_ohmic
 from decodyn.cli import ConfigError, list_presets, main, parse_config, preset_config, run_scenario
 from decodyn.model import (
@@ -476,7 +476,8 @@ def test_grid_cap_edges(tmp_path, capsys):
     # the automatic grid is a power of two: 2^20 points at the cap, 2^21 just past it
     at_cap = parse_config(small_config(state=_cat_of_width(8.0 / 131_000)))
     assert GridSpec.cover(at_cap.state).n_points == cli._MAX_GRID_POINTS
-    explicit = small_config(state={"packets": [{"center_q": 0.0, "sigma": 0.5}], "grid": dict(GRID_OVER_CAP)})
+    # a packet narrow enough that its pairs fit the pair budget at 2^20 points
+    explicit = small_config(state={"packets": [{"center_q": 0.0, "sigma": 1e-3}], "grid": dict(GRID_OVER_CAP)})
     explicit["state"]["grid"]["n_points"] = cli._MAX_GRID_POINTS
     assert parse_config(explicit).grid.n_points == cli._MAX_GRID_POINTS
     for state, field in (
@@ -534,6 +535,56 @@ def test_sizes_capped_before_allocation(tmp_path, capsys, monkeypatch, overrides
         assert field in capsys.readouterr().err
     with pytest.raises(ConfigError, match=field):
         parse_config(json.loads(path.read_text()))
+
+
+def _fine_grid(n_points):
+    return {"packets": [{"center_q": 0.0, "sigma": 0.5}], "grid": {"q_min": -5.0, "q_max": 5.0, "n_points": n_points}}
+
+
+@pytest.mark.parametrize("n_points", [16384, cli._MAX_GRID_POINTS])
+def test_fine_grid_refused_by_its_pair_count(tmp_path, capsys, monkeypatch, n_points):
+    # about 9.3e7 and 3.8e11 pairs: both grids pass the grid-size cap, and
+    # neither is paired before the refusal
+    monkeypatch.setattr(states, "_pure_pairs", _refuse)
+    path = tmp_path / "fine.json"
+    path.write_text(json.dumps(small_config(state=_fine_grid(n_points))))
+    for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "out")]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: state: ")
+    assert not (tmp_path / "out").exists()
+
+
+SCAN = {"separations": [2.0, 4.0, 16.0], "sigma": 0.5}
+
+
+def _scan_pairs():
+    cats = (states.SuperpositionState.symmetric_cat(sep, SCAN["sigma"]) for sep in SCAN["separations"])
+    return max(states.build_density_matrix(cat).pair_count() for cat in cats)
+
+
+@pytest.mark.parametrize(
+    "cap,field,count",
+    [
+        ("_MAX_PAIRS", "state", lambda scn: scn.rho0.pair_count()),
+        ("_MAX_PAIR_TIMES", "state", lambda scn: scn.rho0.pair_count() * scn.times.size),
+        ("_MAX_PAIRS", "scan", lambda scn: _scan_pairs()),
+    ],
+)
+def test_pair_budget_parse_only(monkeypatch, cap, field, count):
+    # parsed at the cap, refused at cap + 1, and nothing is paired; the
+    # state has fewer pairs than any cat of the scan
+    monkeypatch.setattr(states, "_pure_pairs", _refuse)
+    cfg = small_config(state={"packets": [{"center_q": 0.0, "sigma": 0.1}]})
+    if field == "scan":
+        cfg["scan"] = SCAN
+    at_cap = count(parse_config(cfg))
+    monkeypatch.setattr(cli, cap, at_cap)
+    parse_config(cfg)
+    monkeypatch.setattr(cli, cap, at_cap - 1)
+    with pytest.raises(ConfigError) as err:
+        parse_config(cfg)
+    assert str(err.value).startswith(f"{field}: ")
+    assert str(err.value).count(field) == 1
 
 
 @pytest.mark.parametrize("spelling", [None, "inf"])

@@ -23,7 +23,7 @@ from decodyn.model import (
     SinusoidalCoupling,
     TabulatedCoupling,
 )
-from decodyn import states
+from decodyn import _pool, states, strongdec
 from decodyn.rates import hbar_scan, rate_pair
 from decodyn.states import DensityMatrixGrid, GaussianPacket, GridSpec, SuperpositionState, build_density_matrix
 from decodyn.cli import PRESETS, parse_config, preset_config, run_scenario
@@ -191,17 +191,19 @@ PAIR_WEIGHT_REL = 1e-14
 
 
 def preset_states():
+    """(scenario, state) for the state of every preset and each cat of its
+    separation scan."""
     for name in PRESETS:
         scn = parse_config(preset_config(name))
-        yield build_density_matrix(scn.state, grid=scn.grid, hbar=scn.model.hbar)
+        yield scn, build_density_matrix(scn.state, grid=scn.grid, hbar=scn.model.hbar)
         if scn.scan is not None and scn.scan["kind"] == "separation":
             for sep in scn.scan["separations"]:
                 cat = SuperpositionState.symmetric_cat(sep, scn.scan["sigma"])
-                yield build_density_matrix(cat, hbar=scn.bath.hbar)
+                yield scn, build_density_matrix(cat, hbar=scn.bath.hbar)
 
 
 def test_pure_and_dense_support_pair_the_same_cells():
-    for rho0 in preset_states():
+    for _, rho0 in preset_states():
         dense = DensityMatrixGrid(grid=rho0.grid, values=rho0.values, hbar=rho0.hbar)
         dq, qbar, w, _ = rho0.support()
         dq_d, qbar_d, w_d, _ = dense.support()
@@ -209,6 +211,31 @@ def test_pure_and_dense_support_pair_the_same_cells():
         assert dq.tobytes() == dq_d.tobytes()
         assert qbar.tobytes() == qbar_d.tobytes()
         assert np.max(np.abs(w - w_d) / w_d) <= PAIR_WEIGHT_REL
+
+
+def test_pair_count_is_the_pairing_size_on_every_preset_state():
+    for _, rho0 in preset_states():
+        assert rho0.pair_count() == rho0.support()[2].size
+
+
+def test_pair_count_agrees_with_the_pairing_at_a_cut_on_its_own_products():
+    # a cut equal to a product of two weights puts pairs exactly on it, where
+    # a searchsorted on cut / (2 a_i) alone lands a step off the rounded
+    # product for some cells
+    rng = np.random.default_rng(5)
+    psi = rng.random(400) * np.exp(1j * rng.random(400))
+    psi[::9] = psi[4]  # runs of equal weights
+    a, _ = states._pure_cells(psi, 0.1, 0.0)
+    first_guess_off = 0
+    for i, j in rng.integers(0, psi.size, (40, 2)):
+        cut = 2.0 * a[i] * a[j]
+        kept = states._pure_pairs(psi, 0.1, cut)[0].size
+        assert states._pure_pair_count(psi, 0.1, cut) == kept
+        _, cells = states._pure_cells(psi, 0.1, cut)
+        s = np.sort(a[cells])
+        k = np.searchsorted(s, cut / (2.0 * s))
+        first_guess_off += (np.sum(s.size - k) - np.count_nonzero(2.0 * s * s >= cut)) // 2 != kept
+    assert first_guess_off > 0
 
 
 def _count_pairings(monkeypatch) -> list:
@@ -251,3 +278,69 @@ def test_support_is_built_once_and_read_only(held_as):
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
+
+
+# the merged, cut series against an exact sum over every kept pair, unmerged
+# and uncut; the worst gap over these states and times is 2.2e-16, one ulp
+# of an S in [0.5, 1), where the np.dot loop it replaced was 2.8e-15 off
+FSUM_ABS = 4.5e-16
+
+
+def fsum_entropy(rho0, ts, f, bath, side):
+    w, x, defect = support_field(rho0, f, side)
+    return np.array([-math.fsum((w * np.expm1(-x * b)).tolist()) - defect for b in b2(bath, ts)])
+
+
+def test_entropy_is_within_an_ulp_of_the_exact_sum_on_every_preset_state():
+    for scn, rho0 in preset_states():
+        # a dozen times from t = 0 to t_max; each S(t) is the same bytes
+        # alone as in the full series
+        ts = scn.times[:: scn.times.size // 12]
+        for side in SIDES:
+            s = entropy_series(rho0, ts, scn.coupling, scn.bath, side)
+            assert np.max(np.abs(s - fsum_entropy(rho0, ts, scn.coupling, scn.bath, side))) <= FSUM_ABS
+
+
+class NanSlopeAt(PolynomialCoupling):
+    """f = Q^3 with a NaN slope at one midpoint."""
+
+    def __init__(self, bad: float):
+        super().__init__((0.0, 0.0, 0.0, 1.0))
+        self.bad = bad
+
+    def _derivative(self, q):
+        return np.where(q == self.bad, np.nan, super()._derivative(q))
+
+
+def test_nan_exponent_is_never_cut_as_dead():
+    # a NaN exponent sorts after every finite one, where the dead tail
+    # starts; it must still turn S into NaN at every time, as expm1 does
+    rho0 = build_density_matrix(SuperpositionState.symmetric_cat(8.0, 0.2))
+    _, qbar, _, _ = rho0.support()
+    f = NanSlopeAt(float(qbar[qbar.size // 2]))
+    ts = np.linspace(0.0, 3.0, 9)
+    assert np.all(np.isnan(entropy_series(rho0, ts, f, SINGLE, "classical")))
+    assert not np.any(np.isnan(entropy_series(rho0, ts, f, SINGLE, "quantum")))
+
+
+def test_zero_b2_keeps_every_pair_live():
+    # at b2 = 0 every term is expm1(-0) = 0, so S is -defect exactly; a pair
+    # wrongly cut as dead would add -w there
+    rho0 = build_density_matrix(SuperpositionState.symmetric_cat(8.0, 0.2))
+    f = PolynomialCoupling((0.0, 0.0, 0.0, 1e6))
+    idle = BathSpec(modes=(BathMode(1.0, 1.0, 0.0),))
+    _, _, defect = support_field(rho0, f, "quantum")
+    assert entropy_series(rho0, [0.0, 1.0], f, SINGLE, "quantum")[0] == -defect
+    assert np.all(entropy_series(rho0, [0.0, 1.0, 2.0], f, idle, "quantum") == -defect)
+
+
+@given(rho0=cat_states(), f=couplings, bath=st.sampled_from([SINGLE, OHMIC]), t_max=st.floats(0.5, 8.0))
+def test_each_time_has_the_same_bytes_alone_and_in_a_threaded_batch(rho0, f, bath, t_max):
+    ts = np.linspace(0.0, t_max, 7)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_pool, "WORKERS", 2)
+        mp.setattr(strongdec, "_WIDE_SERIES", 0)
+        for side in SIDES:
+            batch = entropy_series(rho0, ts, f, bath, side)
+            alone = [entropy_series(rho0, [t], f, bath, side)[0] for t in ts]
+            assert batch.tobytes() == np.array(alone).tobytes()
