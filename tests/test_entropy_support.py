@@ -207,15 +207,10 @@ def test_pure_and_dense_support_pair_the_same_cells():
         dense = DensityMatrixGrid(grid=rho0.grid, values=rho0.values, hbar=rho0.hbar)
         dq, qbar, w, _ = rho0.support()
         dq_d, qbar_d, w_d, _ = dense.support()
-        assert w.size == w_d.size
+        assert w.size == w_d.size == rho0.pair_count() == dense.pair_count()
         assert dq.tobytes() == dq_d.tobytes()
         assert qbar.tobytes() == qbar_d.tobytes()
         assert np.max(np.abs(w - w_d) / w_d) <= PAIR_WEIGHT_REL
-
-
-def test_pair_count_is_the_pairing_size_on_every_preset_state():
-    for _, rho0 in preset_states():
-        assert rho0.pair_count() == rho0.support()[2].size
 
 
 def test_pair_count_agrees_with_the_pairing_at_a_cut_on_its_own_products():
@@ -336,9 +331,10 @@ def test_zero_b2_keeps_every_pair_live():
 
 @given(rho0=cat_states(), f=couplings, bath=st.sampled_from([SINGLE, OHMIC]), t_max=st.floats(0.5, 8.0))
 def test_each_time_has_the_same_bytes_alone_and_in_a_threaded_batch(rho0, f, bath, t_max):
+    # 7 times over 3 workers: an uneven interleave
     ts = np.linspace(0.0, t_max, 7)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_pool, "WORKERS", 2)
+        mp.setattr(_pool, "WORKERS", 3)
         mp.setattr(strongdec, "_WIDE_SERIES", 0)
         for side in SIDES:
             batch = entropy_series(rho0, ts, f, bath, side)
