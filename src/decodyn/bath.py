@@ -45,14 +45,6 @@ __all__ = [
 # reproduces the same draws.
 _STREAM_SAMPLES = 4096
 
-# Substreams of one call are filled on the shared pool's WORKERS threads
-# (numpy's Philox normal fill releases the GIL) once a row holds at least
-# _WIDE_ROW normals; narrower rows are drawn serially, where the thread
-# hand-off costs more than it saves.  Callers that draw a long range take it
-# in _CHUNK_SAMPLES pieces, one substream per worker.
-_WIDE_ROW = 16
-_CHUNK_SAMPLES = _pool.WORKERS * _STREAM_SAMPLES
-
 
 @dataclass(frozen=True)
 class BathMode:
@@ -225,7 +217,7 @@ def _thermal_widths(bath: BathSpec) -> tuple[np.ndarray, np.ndarray]:
     return weights["q_std"], weights["p_std"]
 
 
-def thermal_sample_block(bath: BathSpec, seed: int, start: int, count: int):
+def thermal_sample_block(bath: BathSpec, seed: int, start: int, count: int, project=None):
     """Draw samples [start, start+count) of the thermal phase-space
     distribution of the bath (the thermal Wigner distribution: independent
     zero-mean Gaussians per mode).
@@ -234,34 +226,63 @@ def thermal_sample_block(bath: BathSpec, seed: int, start: int, count: int):
     (count, 2 n_modes) block, so each has shape (count, n_modes).  The draw
     for a given (seed, index) never depends on how the index range is
     partitioned, nor on how many threads fill it, so parallel workers can
-    split ranges freely and merge in index order.  Each substream draws its
-    normals in row order, so its rows inside the range are drawn straight
-    into the block and scaled there, after the rows before the range are
-    drawn and dropped.
+    split ranges freely and merge in index order.  Worker r of W draws
+    substreams r, r + W, ... into one reused (4096, 2 n_modes) buffer.
+
+    With project=(coef_q, coef_p), of shape (n_modes,) or (k, n_modes), the
+    block is never formed: each substream's rows go straight from the buffer
+    into q @ coef_q[j] + p @ coef_p[j], row j of theta, which is returned
+    with shape (count,) or (k, count).  Its bytes are those of that product
+    on the (q, p) of the whole substreams the range touches, so they too
+    depend on (seed, index) alone.
     """
     if count < 0 or start < 0:
         raise ValueError("start and count must be nonnegative")
     n = bath.n_modes
-    block = np.empty((count, 2 * n))
     widths = np.concatenate(_thermal_widths(bath))
     first = start // _STREAM_SAMPLES
     last = (start + count - 1) // _STREAM_SAMPLES if count else first - 1
-
-    def fill(stream: int) -> None:
-        gen = np.random.Generator(np.random.Philox(key=seed).jumped(stream))
-        lo = max(start, stream * _STREAM_SAMPLES)
-        hi = min(start + count, (stream + 1) * _STREAM_SAMPLES)
-        # the substream's normals come in row order: drop the rows before lo
-        gen.standard_normal((lo - stream * _STREAM_SAMPLES) * 2 * n)
-        out = block[lo - start : hi - start]
-        gen.standard_normal(out=out)
-        out *= widths
-
     streams = range(first, last + 1)
-    if _pool.WORKERS > 1 and len(streams) > 1 and 2 * n >= _WIDE_ROW:
-        # list() waits for every fill and re-raises the first failure
-        list(_pool.thread_pool().map(fill, streams))
+    if project is None:
+        block = np.empty((count, 2 * n))
     else:
-        for stream in streams:
-            fill(stream)
-    return block[:, :n], block[:, n:]
+        coef_q, coef_p = (np.atleast_2d(c) for c in project)
+        theta = np.empty((coef_q.shape[0], count))
+
+    def fill(stream: int, buf: np.ndarray) -> None:
+        gen = np.random.Generator(np.random.Philox(key=seed).jumped(stream))
+        s0 = stream * _STREAM_SAMPLES
+        lo, hi = max(start, s0), min(start + count, s0 + _STREAM_SAMPLES)
+        # the substream's normals come in row order: the rows before lo are
+        # drawn too, and only the range's rows are scaled and read
+        gen.standard_normal(out=buf[: hi - s0])
+        rows = buf[lo - s0 : hi - s0]
+        rows *= widths
+        if project is None:
+            block[lo - start : hi - start] = rows
+            return
+        # sample i is projected at row i % 4096 of a 4096-row product whatever
+        # the range: BLAS takes the last (rows mod 4) rows of a product by
+        # another kernel, so a product over the range's rows alone would not
+        # have the same bytes for every range
+        for j in range(theta.shape[0]):
+            row = buf[:, :n] @ coef_q[j] + buf[:, n:] @ coef_p[j]
+            theta[j, lo - start : hi - start] = row[lo - s0 : hi - s0]
+
+    # one hand-off a call, as numpy's Philox fill and BLAS release the GIL;
+    # even one-mode rows gain from two substreams on
+    step = max(1, min(_pool.WORKERS, len(streams)))
+
+    def worker(r: int) -> None:
+        buf = np.zeros((_STREAM_SAMPLES, 2 * n))
+        for stream in streams[r::step]:
+            fill(stream, buf)
+
+    if step > 1:
+        # list() waits for every worker and re-raises the first failure
+        list(_pool.thread_pool().map(worker, range(step)))
+    else:
+        worker(0)
+    if project is None:
+        return block[:, :n], block[:, n:]
+    return theta.reshape(np.shape(project[0])[:-1] + (count,))

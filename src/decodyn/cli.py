@@ -76,16 +76,16 @@ class Scenario:
 
 # Sizes read from a config are capped before anything is allocated: the
 # kernels b1, b2 and b2_dot each build an n_steps x n_modes array, the MC
-# oracle an n_samples-long complex array and one 4096 x 2 n_modes block per
-# sampling thread, the Fock oracle dense (2 n_levels)^2 matrices, and every
-# state grid its 1-D arrays of n_points.  Each entry of an oracle times list
-# costs one oracle evaluation and each scan point one rate pair, so those
-# lists hold at most _MAX_LIST_ENTRIES.  The entropy and rate quadratures run
-# over a state's support pairs (DensityMatrixGrid.support()), which grow as
-# m^2 in its m support cells: the pairs of the state and of every
-# separation-scan cat are counted from psi before any is built, at most
-# _MAX_PAIRS each (memory), and the state's pairs times n_steps at most
-# _MAX_PAIR_TIMES (the entropy loop).
+# oracle the n_samples phases of a group of times (64 MB, or one time) and
+# one 4096 x 2 n_modes buffer per sampling thread, the Fock oracle dense
+# (2 n_levels)^2 matrices, and every state grid its 1-D arrays of n_points.  Each entry of an oracle times list costs one oracle
+# evaluation and each scan point one rate pair, so those lists hold at most
+# _MAX_LIST_ENTRIES.  The entropy and rate quadratures run over a state's
+# support pairs (DensityMatrixGrid.support()), which grow as m^2 in its m
+# support cells: the state's pairs are counted from psi before any is built,
+# at most _MAX_PAIRS (memory), and times n_steps at most _MAX_PAIR_TIMES (the
+# entropy loop); a separation-scan cat stays far below _MAX_PAIRS (see
+# _check_pairs).
 _MAX_TIME_STEPS = 100_000
 _MAX_BATH_MODES = 100_000
 _MAX_KERNEL_CELLS = 10_000_000
@@ -443,25 +443,20 @@ def parse_config(cfg: dict) -> Scenario:
     return scn
 
 
-def _cap_pairs(pairs: int, path: str) -> None:
-    if pairs > _MAX_PAIRS:
-        raise ConfigError(f"{path}: {pairs} support pairs, more than {_MAX_PAIRS}; use a coarser grid")
-
-
 def _check_pairs(scn: Scenario) -> None:
     """Refuse a run past the pair budget; the pairs are counted from psi,
-    and none is built."""
+    and none is built.  A separation-scan cat takes the automatic grid, whose
+    spacing lies in (sigma/16, sigma/8]; the pairing keeps a cell only within
+    about 11 sigma of a packet centre, so such a cat has at most about 704
+    cells and 2.5e5 pairs, far below _MAX_PAIRS, and is not counted."""
     with _field("state"):
         pairs = scn.rho0.pair_count()
-    _cap_pairs(pairs, "state")
+    if pairs > _MAX_PAIRS:
+        raise ConfigError(f"state: {pairs} support pairs, more than {_MAX_PAIRS}; use a coarser grid")
     if pairs * scn.times.size > _MAX_PAIR_TIMES:
         raise ConfigError(
             f"state: {pairs} support pairs x {scn.times.size} times is more than {_MAX_PAIR_TIMES} pair-times"
         )
-    if scn.scan is not None and scn.scan["kind"] == "separation":
-        for sep in scn.scan["separations"]:
-            cat = SuperpositionState.symmetric_cat(sep, scn.scan["sigma"])
-            _cap_pairs(build_density_matrix(cat, hbar=scn.bath.hbar).pair_count(), "scan")
 
 
 def _default_probe(state: SuperpositionState) -> tuple[float, float]:
@@ -512,8 +507,9 @@ def _oracle_records(scn: Scenario, seed: int) -> dict:
 
     if "mc" in oracle:
         result["mc"] = []
-        for t in oracle["mc"]["times"]:
-            est = mc_classical_factor(q1, q2, t, scn.coupling, scn.bath, oracle["mc"]["n_samples"], seed)
+        times = oracle["mc"]["times"]
+        estimates = mc_classical_factor(q1, q2, times, scn.coupling, scn.bath, oracle["mc"]["n_samples"], seed)
+        for t, est in zip(times, estimates):
             analytic = classical_factor(q1, q2, t, scn.coupling, scn.bath).value
             result["mc"].append(
                 record(t, est.mean, analytic, est.std_error, est.n_samples, est.sigma_distance(analytic))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import BathSpec, _CHUNK_SAMPLES, _one_minus_cos, _x_minus_sin, thermal_sample_block
+from .bath import BathSpec, _one_minus_cos, _x_minus_sin, thermal_sample_block
 from .model import CouplingFunction
 
 __all__ = [
@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 _JACKKNIFE_BLOCKS = 100
+_SLICE_BLOCKS = 10
+# bytes of the phases of one group of MC times, 8 B a sample and time
+_GROUP_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -68,14 +71,18 @@ class McEstimate:
 def mc_classical_factor(
     q1: float,
     q2: float,
-    t: float,
+    t,
     f: CouplingFunction,
     bath: BathSpec,
     n_samples: int = 100_000,
     seed: int = 0,
-) -> McEstimate:
+) -> McEstimate | list[McEstimate]:
     """Trajectory-ensemble estimate of the classical evolution factor at
-    (Q1, Q2, t)."""
+    (Q1, Q2, t): one McEstimate for a scalar t, else a list of one per time.
+
+    Every time reads the same draws [0, n_samples); the times are projected
+    in groups of at most _GROUP_BYTES of phases, one draw each.
+    """
     if n_samples < 1000:
         raise ValueError(
             f"n_samples={n_samples} too small: at least 1000 required for a meaningful error bar"
@@ -93,21 +100,31 @@ def mc_classical_factor(
     w = bath.omegas
     m = bath.masses
     c = bath.couplings
-    x = w * t
+    x = np.multiply.outer(np.atleast_1d(np.asarray(t, dtype=float)), w)
     coef_q = lam * c * np.sin(x) / w
     coef_p = lam * c * _one_minus_cos(x) / (m * w * w)
-    # drift displacement integrates to the coherent-phase kernel mode sum
-    theta0 = -lam * fbar * float(np.sum(c * c * _x_minus_sin(x) / (m * w**3)))
 
-    z = np.empty(n_samples, dtype=complex)
-    for s0 in range(0, n_samples, _CHUNK_SAMPLES):
-        cnt = min(_CHUNK_SAMPLES, n_samples - s0)
-        qs, ps = thermal_sample_block(bath, seed, s0, cnt)
-        theta = qs @ coef_q + ps @ coef_p
-        z[s0 : s0 + cnt] = np.exp(-1j * (theta + theta0))
+    group = max(1, _GROUP_BYTES // (8 * n_samples))
+    estimates = []
+    for g in range(0, x.shape[0], group):
+        theta = thermal_sample_block(bath, seed, 0, n_samples, (coef_q[g : g + group], coef_p[g : g + group]))
+        for k, row in enumerate(theta, start=g):
+            # drift displacement integrates to the coherent-phase kernel mode sum
+            row += -lam * fbar * float(np.sum(c * c * _x_minus_sin(x[k]) / (m * w**3)))
+            estimates.append(_jackknife(row))
+    return estimates[0] if np.ndim(t) == 0 else estimates
 
+
+def _jackknife(phase: np.ndarray) -> McEstimate:
+    """Mean and jackknife error of exp(-i phase); the factors are formed
+    _SLICE_BLOCKS jackknife blocks at a time."""
+    n_samples = phase.size
     block = n_samples // _JACKKNIFE_BLOCKS
-    block_sums = z.reshape(_JACKKNIFE_BLOCKS, block).sum(axis=1)
+    blocks = phase.reshape(_JACKKNIFE_BLOCKS, block)
+    block_sums = np.empty(_JACKKNIFE_BLOCKS, dtype=complex)
+    for b in range(0, _JACKKNIFE_BLOCKS, _SLICE_BLOCKS):
+        z = -1j * blocks[b : b + _SLICE_BLOCKS]
+        block_sums[b : b + _SLICE_BLOCKS] = np.exp(z, out=z).sum(axis=1)
     total = block_sums.sum()
     mean = total / n_samples
     loo = (total - block_sums) / (n_samples - block)
@@ -145,24 +162,15 @@ def _branch_overlap(q1, q2, times, f, bath, n_levels):
         eig.append((vals, vecs))
     (e1, v1), (e2, v2) = eig
 
+    # out(t) = sum_n occ_n <n|U2(t)^dag U1(t)|n> = p2(t) @ K @ p1(t), with the
+    # ground state e_0 as occ at zero temperature; the weights are taken
+    # relative to the ground level, so a cold bath cannot underflow them all
+    occ = (n == 0) * 1.0 if np.isinf(bath.beta) else np.exp(-bath.beta * hbar * w * n)
+    occ = occ / occ.sum()
+    kernel = ((v2.T @ v1) * (v2.T @ (occ[:, None] * v1))).astype(complex)
     out = np.empty(times.shape, dtype=complex)
-    if np.isinf(bath.beta):
-        u1 = v1[0, :]
-        u2 = v2[0, :]
-        m12 = v2.T @ v1
-        for i, tt in enumerate(times):
-            left = u2 * np.exp(1j * e2 * tt / hbar)
-            right = u1 * np.exp(-1j * e1 * tt / hbar)
-            out[i] = left @ m12 @ right
-    else:
-        occ = np.exp(-bath.beta * hbar * w * (n + 0.5))
-        occ = occ / occ.sum()
-        m12 = v2.T @ v1
-        for i, tt in enumerate(times):
-            a2 = v2 * np.exp(1j * e2 * tt / hbar)
-            a1 = v1 * np.exp(-1j * e1 * tt / hbar)
-            diag = np.einsum("na,ab,nb->n", a2, m12, a1)
-            out[i] = occ @ diag
+    for i, tt in enumerate(times):
+        out[i] = np.exp(1j * e2 * tt / hbar) @ kernel @ np.exp(-1j * e1 * tt / hbar)
     return out
 
 

@@ -200,8 +200,7 @@ def test_criterion_08_trajectory_ensemble_oracle():
     ]
     worst = 0.0
     for bath, f, ts in configs:
-        for t in ts:
-            est = mc_classical_factor(2.0, 0.0, t, f, bath, n_samples=100_000, seed=0)
+        for t, est in zip(ts, mc_classical_factor(2.0, 0.0, ts, f, bath, n_samples=100_000, seed=0)):
             analytic = classical_factor(2.0, 0.0, t, f, bath).value
             worst = max(worst, est.sigma_distance(analytic))
     small = mc_classical_factor(2.0, 0.0, math.pi / 2, LinearCoupling(1.0), SINGLE,

@@ -182,11 +182,10 @@ STREAM = bath_module._STREAM_SAMPLES
 
 
 def _with_workers(workers, fn, *args):
-    """fn(*args) with the sampler's worker count set to workers and the MC
-    chunk to one substream per worker, as on a host with that many cores."""
+    """fn(*args) with the sampler's worker count set to workers, as on a host
+    with that many cores."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_pool, "WORKERS", workers)
-        mp.setattr(oracle_module, "_CHUNK_SAMPLES", workers * STREAM)
         return fn(*args)
 
 
@@ -196,6 +195,17 @@ def sample_ranges(draw):
     start = draw(st.integers(0, 5 * STREAM))
     count = draw(st.integers(0, 5 * STREAM - start % STREAM))
     return start, count, draw(st.integers(0, count))
+
+
+def _projection_reference(bath, seed, start, count, cq, cp):
+    """q @ cq + p @ cp on the (q, p) of the whole substreams that hold
+    [start, start+count), cut to the range.  A product over the range's own
+    rows is no reference: BLAS takes the last (rows mod 4) rows of a product
+    by another kernel, with other bytes."""
+    first, stop = start // STREAM, -(-(start + count) // STREAM)
+    q, p = thermal_sample_block(bath, seed, first * STREAM, (stop - first) * STREAM)
+    offset = start - first * STREAM
+    return (q @ cq + p @ cp)[offset : offset + count]
 
 
 @given(n_modes=st.integers(8, 64), seed=st.integers(0, 2**32 - 1), ranges=sample_ranges())
@@ -210,6 +220,14 @@ def test_sampling_bytes_do_not_depend_on_threads_or_split(n_modes, seed, ranges)
     qb, pb = _with_workers(2, thermal_sample_block, bath, seed, start + split, count - split)
     assert np.vstack([qa, qb]).tobytes() == q1.tobytes()
     assert np.vstack([pa, pb]).tobytes() == p1.tobytes()
+    cq, cp = np.random.default_rng(seed).standard_normal((2, n_modes))
+    expected = _projection_reference(bath, seed, start, count, cq, cp)
+    for workers in (1, 2, 3):
+        theta = _with_workers(workers, thermal_sample_block, bath, seed, start, count, (cq, cp))
+        assert theta.tobytes() == expected.tobytes()
+    theta_a = _with_workers(2, thermal_sample_block, bath, seed, start, split, (cq, cp))
+    theta_b = _with_workers(2, thermal_sample_block, bath, seed, start + split, count - split, (cq, cp))
+    assert np.concatenate([theta_a, theta_b]).tobytes() == expected.tobytes()
 
 
 def _substream_reference(bath, seed, start, count):
@@ -245,6 +263,14 @@ def test_sampling_follows_the_substream_contract(n_modes, start, count, workers)
     q, p = _with_workers(workers, thermal_sample_block, bath, 3, start, count)
     q_ref, p_ref = _substream_reference(bath, 3, start, count)
     assert q.tobytes() == q_ref.tobytes() and p.tobytes() == p_ref.tobytes()
+    # the projection drawn per substream has the bytes of the same product on (q, p)
+    coefs = np.random.default_rng(n_modes + start).standard_normal((2, 3, n_modes))
+    theta = _with_workers(workers, thermal_sample_block, bath, 3, start, count, tuple(coefs))
+    assert theta.shape == (3, count)
+    for j, (cq, cp) in enumerate(zip(*coefs)):
+        assert theta[j].tobytes() == _projection_reference(bath, 3, start, count, cq, cp).tobytes()
+    row = _with_workers(workers, thermal_sample_block, bath, 3, start, count, (coefs[0, 1], coefs[1, 1]))
+    assert row.tobytes() == theta[1].tobytes()
 
 
 def _mc_50_modes(seed=11):
@@ -265,7 +291,6 @@ def test_mc_runs_in_a_forked_child(monkeypatch):
     # the parent's pool threads do not exist in a fork; the child must not
     # hand its substreams to them
     monkeypatch.setattr(_pool, "WORKERS", 2)
-    monkeypatch.setattr(oracle_module, "_CHUNK_SAMPLES", 2 * STREAM)
     expected = _mc_50_modes()
     ctx = multiprocessing.get_context("fork")
     results = ctx.Queue()

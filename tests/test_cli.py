@@ -554,29 +554,17 @@ def test_fine_grid_refused_by_its_pair_count(tmp_path, capsys, monkeypatch, n_po
     assert not (tmp_path / "out").exists()
 
 
-SCAN = {"separations": [2.0, 4.0, 16.0], "sigma": 0.5}
-
-
-def _scan_pairs():
-    cats = (states.SuperpositionState.symmetric_cat(sep, SCAN["sigma"]) for sep in SCAN["separations"])
-    return max(states.build_density_matrix(cat).pair_count() for cat in cats)
-
-
 @pytest.mark.parametrize(
     "cap,field,count",
     [
         ("_MAX_PAIRS", "state", lambda scn: scn.rho0.pair_count()),
         ("_MAX_PAIR_TIMES", "state", lambda scn: scn.rho0.pair_count() * scn.times.size),
-        ("_MAX_PAIRS", "scan", lambda scn: _scan_pairs()),
     ],
 )
 def test_pair_budget_parse_only(monkeypatch, cap, field, count):
-    # parsed at the cap, refused at cap + 1, and nothing is paired; the
-    # state has fewer pairs than any cat of the scan
+    # parsed at the cap, refused at cap + 1, and nothing is paired
     monkeypatch.setattr(states, "_pure_pairs", _refuse)
     cfg = small_config(state={"packets": [{"center_q": 0.0, "sigma": 0.1}]})
-    if field == "scan":
-        cfg["scan"] = SCAN
     at_cap = count(parse_config(cfg))
     monkeypatch.setattr(cli, cap, at_cap)
     parse_config(cfg)
@@ -585,6 +573,24 @@ def test_pair_budget_parse_only(monkeypatch, cap, field, count):
         parse_config(cfg)
     assert str(err.value).startswith(f"{field}: ")
     assert str(err.value).count(field) == 1
+
+
+# Pairs of a separation-scan cat, which takes the automatic grid: spacing in
+# (sigma/16, sigma/8], and the pairing's cut keeps a cell only within about
+# 11 sigma of a packet centre, so at most about 704 cells and 2.5e5 pairs
+# whatever k = sep/sigma; the worst of the k below is 147,493.
+SCAN_PAIR_BOUND = 250_000
+
+
+def test_scan_cats_stay_under_the_pair_bound(monkeypatch):
+    # k from the smallest the config takes to the largest under the grid
+    # cap; the counts do not depend on hbar (real amplitudes, no momenta)
+    # or on sigma itself
+    monkeypatch.setattr(states, "_pure_pairs", _refuse)
+    ks = np.geomspace(2.0, 1.3e5, 24)
+    parse_config(small_config(scan={"separations": list(ks[1:]), "sigma": 1.0}))
+    pairs = [states.build_density_matrix(states.SuperpositionState.symmetric_cat(k, 1.0)).pair_count() for k in ks]
+    assert max(pairs) <= SCAN_PAIR_BOUND <= cli._MAX_PAIRS
 
 
 @pytest.mark.parametrize("spelling", [None, "inf"])
