@@ -29,7 +29,6 @@ import numpy as np
 from . import _pool
 
 __all__ = [
-    "BathMode",
     "BathSpec",
     "discretize_ohmic",
     "thermal_strength",
@@ -46,33 +45,32 @@ __all__ = [
 _STREAM_SAMPLES = 4096
 
 
-@dataclass(frozen=True)
-class BathMode:
-    """One harmonic mode: mass, angular frequency, linear coupling strength."""
-
-    mass: float
-    omega: float
-    coupling: float
-
-    def __post_init__(self):
-        if not self.mass > 0:
-            raise ValueError(f"mode mass must be positive, got {self.mass}")
-        if not self.omega > 0:
-            raise ValueError(f"mode frequency must be positive, got {self.omega}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BathSpec:
-    """Immutable bath: modes plus the thermal scales beta and hbar."""
+    """Immutable bath: per-mode masses, angular frequencies and linear
+    coupling strengths, plus the thermal scales beta and hbar.  The three
+    arrays are copied once, as read-only floats; baths compare by identity."""
 
-    modes: tuple[BathMode, ...]
+    masses: np.ndarray
+    omegas: np.ndarray
+    couplings: np.ndarray
     beta: float = math.inf
     hbar: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "modes", tuple(self.modes))
-        if len(self.modes) == 0:
+        for name in ("masses", "omegas", "couplings"):
+            a = np.array(getattr(self, name), dtype=float)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        m, w = self.masses, self.omegas
+        if m.ndim != 1 or m.shape != w.shape or m.shape != self.couplings.shape:
+            raise ValueError("masses, omegas and couplings must be 1-D arrays of equal length")
+        if m.size == 0:
             raise ValueError("bath needs at least one mode")
+        for what, a in (("mass", m), ("frequency", w)):
+            bad = np.flatnonzero(~(a > 0))
+            if bad.size:
+                raise ValueError(f"mode {what} must be positive, got {a[bad[0]]} at mode {bad[0]}")
         if not self.beta > 0:
             raise ValueError(f"beta must be positive (math.inf for T=0), got {self.beta}")
         if not self.hbar > 0:
@@ -80,19 +78,7 @@ class BathSpec:
 
     @property
     def n_modes(self) -> int:
-        return len(self.modes)
-
-    @cached_property
-    def masses(self) -> np.ndarray:
-        return np.array([m.mass for m in self.modes])
-
-    @cached_property
-    def omegas(self) -> np.ndarray:
-        return np.array([m.omega for m in self.modes])
-
-    @cached_property
-    def couplings(self) -> np.ndarray:
-        return np.array([m.coupling for m in self.modes])
+        return self.masses.size
 
     @cached_property
     def coth_factors(self) -> np.ndarray:
@@ -163,8 +149,7 @@ def discretize_ohmic(
         couplings = np.sqrt(2.0 * omegas * j_vals * dw / np.pi)
     if not (np.all(np.isfinite(omegas)) and np.all(np.isfinite(couplings))):
         raise ValueError("mode frequencies and couplings overflow the float range")
-    modes = tuple(BathMode(1.0, float(w), float(c)) for w, c in zip(omegas, couplings))
-    return BathSpec(modes=modes, beta=beta, hbar=hbar)
+    return BathSpec(np.ones(n_modes), omegas, couplings, beta=beta, hbar=hbar)
 
 
 def thermal_strength(bath: BathSpec) -> float:
@@ -212,42 +197,31 @@ def b2_dot(bath: BathSpec, t) -> float | np.ndarray:
     return _kernel(bath, t, bath.mode_weights["b2_dot"], np.sin)
 
 
-def _thermal_widths(bath: BathSpec) -> tuple[np.ndarray, np.ndarray]:
-    weights = bath.mode_weights
-    return weights["q_std"], weights["p_std"]
-
-
-def thermal_sample_block(bath: BathSpec, seed: int, start: int, count: int, project=None):
-    """Draw samples [start, start+count) of the thermal phase-space
+def thermal_sample_block(bath: BathSpec, seed: int, start: int, count: int, project) -> np.ndarray:
+    """Project samples [start, start+count) of the thermal phase-space
     distribution of the bath (the thermal Wigner distribution: independent
-    zero-mean Gaussians per mode).
+    zero-mean Gaussians per mode) onto project=(coef_q, coef_p), each of
+    shape (n_modes,) or (k, n_modes).
 
-    Returns (q, p), the column views block[:, :n] and block[:, n:] of one
-    (count, 2 n_modes) block, so each has shape (count, n_modes).  The draw
-    for a given (seed, index) never depends on how the index range is
-    partitioned, nor on how many threads fill it, so parallel workers can
-    split ranges freely and merge in index order.  Worker r of W draws
-    substreams r, r + W, ... into one reused (4096, 2 n_modes) buffer.
-
-    With project=(coef_q, coef_p), of shape (n_modes,) or (k, n_modes), the
-    block is never formed: each substream's rows go straight from the buffer
-    into q @ coef_q[j] + p @ coef_p[j], row j of theta, which is returned
-    with shape (count,) or (k, count).  Its bytes are those of that product
-    on the (q, p) of the whole substreams the range touches, so they too
-    depend on (seed, index) alone.
+    Returns theta, of shape (count,) or (k, count), whose row j holds
+    q @ coef_q[j] + p @ coef_p[j] per sample.  Sample i is row i % 4096 of
+    Philox(key=seed).jumped(i // 4096)'s (4096, 2 n_modes) normals, scaled
+    by the widths [q_std, p_std], and is projected as that row of the whole
+    substream's product, so theta's bytes depend on (seed, index) alone:
+    never on how the index range is partitioned, nor on how many threads
+    fill it.  Worker r of W draws substreams r, r + W, ... into one reused
+    (4096, 2 n_modes) buffer; no (count, 2 n_modes) block is formed.
     """
     if count < 0 or start < 0:
         raise ValueError("start and count must be nonnegative")
     n = bath.n_modes
-    widths = np.concatenate(_thermal_widths(bath))
+    weights = bath.mode_weights
+    widths = np.concatenate((weights["q_std"], weights["p_std"]))
     first = start // _STREAM_SAMPLES
     last = (start + count - 1) // _STREAM_SAMPLES if count else first - 1
     streams = range(first, last + 1)
-    if project is None:
-        block = np.empty((count, 2 * n))
-    else:
-        coef_q, coef_p = (np.atleast_2d(c) for c in project)
-        theta = np.empty((coef_q.shape[0], count))
+    coef_q, coef_p = (np.atleast_2d(c) for c in project)
+    theta = np.empty((coef_q.shape[0], count))
 
     def fill(stream: int, buf: np.ndarray) -> None:
         gen = np.random.Generator(np.random.Philox(key=seed).jumped(stream))
@@ -256,11 +230,7 @@ def thermal_sample_block(bath: BathSpec, seed: int, start: int, count: int, proj
         # the substream's normals come in row order: the rows before lo are
         # drawn too, and only the range's rows are scaled and read
         gen.standard_normal(out=buf[: hi - s0])
-        rows = buf[lo - s0 : hi - s0]
-        rows *= widths
-        if project is None:
-            block[lo - start : hi - start] = rows
-            return
+        buf[lo - s0 : hi - s0] *= widths
         # sample i is projected at row i % 4096 of a 4096-row product whatever
         # the range: BLAS takes the last (rows mod 4) rows of a product by
         # another kernel, so a product over the range's rows alone would not
@@ -283,6 +253,4 @@ def thermal_sample_block(bath: BathSpec, seed: int, start: int, count: int, proj
         list(_pool.thread_pool().map(worker, range(step)))
     else:
         worker(0)
-    if project is None:
-        return block[:, :n], block[:, n:]
     return theta.reshape(np.shape(project[0])[:-1] + (count,))

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bath import BathMode, BathSpec, discretize_ohmic, thermal_strength
+from .bath import BathSpec, discretize_ohmic, thermal_strength
 from .model import (
     CouplingFunction,
     LinearCoupling,
@@ -210,21 +210,19 @@ def _parse_bath(cfg: dict, model: ModelConfig) -> BathSpec:
             bath = discretize_ohmic(eta, omega_c, n_modes, omega_max, beta=model.beta, hbar=model.hbar)
         return _check_bath(bath, "bath.ohmic")
     if "modes" in raw:
-        modes = []
+        masses, omegas, couplings = [], [], []
         for i, entry in enumerate(_get(raw, "modes", "bath", list, required=True)):
             path = f"bath.modes[{i}]"
             if not isinstance(entry, dict):
                 raise ConfigError(f"{path}: expected an object")
-            with _field(path):
-                modes.append(
-                    BathMode(
-                        mass=_get(entry, "m", path, float, default=1.0),
-                        omega=_get(entry, "omega", path, float, required=True),
-                        coupling=_get(entry, "c", path, float, required=True),
-                    )
-                )
+            masses.append(_get(entry, "m", path, float, default=1.0))
+            omegas.append(_get(entry, "omega", path, float, required=True))
+            couplings.append(_get(entry, "c", path, float, required=True))
+            for what, val in (("mass", masses[-1]), ("frequency", omegas[-1])):
+                if not val > 0:
+                    raise ConfigError(f"{path}: mode {what} must be positive, got {val}")
         with _field("bath.modes"):
-            bath = BathSpec(modes=tuple(modes), beta=model.beta, hbar=model.hbar)
+            bath = BathSpec(masses, omegas, couplings, beta=model.beta, hbar=model.hbar)
         return _check_bath(bath, "bath.modes")
     raise ConfigError("bath: must contain either 'ohmic' or 'modes'")
 
@@ -369,6 +367,8 @@ def _parse_oracle(cfg: dict, bath: BathSpec) -> dict | None:
     if not out:
         raise ConfigError("oracle: must contain 'mc' and/or 'fock'")
     for kind, spec in out.items():
+        if not spec["times"]:
+            raise ConfigError(f"oracle.{kind}.times: needs at least one time")
         for i, t in enumerate(spec["times"]):
             _check_phase(bath, t, f"oracle.{kind}.times[{i}]")
     return out
@@ -517,7 +517,10 @@ def _oracle_records(scn: Scenario, seed: int) -> dict:
     if "fock" in oracle:
         cfg = FockConfig(n_levels=oracle["fock"]["n_levels"])
         times = np.asarray(oracle["fock"]["times"])
-        overlaps = fock_quantum_factor(q1, q2, times, scn.coupling, scn.bath, cfg)
+        try:
+            overlaps = fock_quantum_factor(q1, q2, times, scn.coupling, scn.bath, cfg)
+        except RuntimeError as exc:  # the truncation did not converge
+            raise ConfigError(f"oracle.fock.n_levels: {exc}") from exc
         result["fock"] = []
         for t, overlap in zip(times, overlaps):
             analytic = quantum_factor(q1, q2, float(t), scn.coupling, scn.bath).value
@@ -554,6 +557,8 @@ def run_scenario(source, out_dir=".", seed: int | None = None) -> dict:
 
     rho0 = scn.rho0
     series = compute_series(rho0, scn.coupling, scn.bath, scn.times, scn.probe)
+    # the oracle may still refuse the config, so it runs before any file is written
+    records = None if scn.oracle is None else _oracle_records(scn, run_seed)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -579,9 +584,8 @@ def run_scenario(source, out_dir=".", seed: int | None = None) -> dict:
         paths["scan"] = scan_path
 
     oracle_meta = None
-    if scn.oracle is not None:
+    if records is not None:
         oracle_path = out / f"{scn.name}_oracle.json"
-        records = _oracle_records(scn, run_seed)
         oracle_path.write_text(json.dumps(records, indent=2, sort_keys=True) + "\n")
         oracle_meta = {
             kind: {k: v for k, v in scn.oracle[kind].items() if k != "times"}

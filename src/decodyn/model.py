@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 __all__ = [
     "ModelConfig",
@@ -180,7 +179,11 @@ class TabulatedCoupling(CouplingFunction):
             raise ValueError("q_grid must be strictly increasing")
 
     @cached_property
-    def _spline(self) -> CubicSpline:
+    def _spline(self):
+        # imported here: scipy.interpolate costs about 0.5 s, and only a
+        # tabulated coupling needs it
+        from scipy.interpolate import CubicSpline
+
         return CubicSpline(self.q_grid, self.values)
 
     def _check_range(self, q: np.ndarray):

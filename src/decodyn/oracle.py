@@ -147,8 +147,7 @@ class FockConfig:
 
 
 def _branch_overlap(q1, q2, times, f, bath, n_levels):
-    mode = bath.modes[0]
-    m, w, c = mode.mass, mode.omega, mode.coupling
+    m, w, c = bath.masses[0], bath.omegas[0], bath.couplings[0]
     hbar = bath.hbar
     n = np.arange(n_levels)
     off = np.sqrt(n[1:])

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from decodyn.bath import BathMode, BathSpec, b2, discretize_ohmic, thermal_strength
+from decodyn.bath import BathSpec, b2, discretize_ohmic, thermal_strength
 from decodyn.cli import parse_config, preset_config
 from decodyn.model import LinearCoupling, PolynomialCoupling, QuadraticCoupling, SinusoidalCoupling
 from decodyn.oracle import fock_quantum_factor, mc_classical_factor, short_time_fit
@@ -26,7 +26,7 @@ from decodyn.states import (
 )
 from decodyn.strongdec import compute_series, entropy_series
 
-SINGLE = BathSpec(modes=(BathMode(1.0, 1.0, 1.0),))
+SINGLE = BathSpec([1.0], [1.0], [1.0])
 OHMIC = discretize_ohmic(0.25, 1.0, 50, 5.0, beta=2.0)
 CUBIC = PolynomialCoupling((0.0, 0.0, 0.0, 1.0))
 
@@ -67,7 +67,7 @@ def test_criterion_02_linear_closed_form_cross_check():
     budget = Budget("02", "linear-coupling rate equals closed form", 10.0)
     combos = [
         (math.sqrt(0.5), SINGLE),
-        (0.6, BathSpec(modes=(BathMode(2.0, 1.7, 0.9),), beta=1.3)),
+        (0.6, BathSpec([2.0], [1.7], [0.9], beta=1.3)),
         (1.1, OHMIC),
     ]
     worst = 0.0

@@ -10,7 +10,6 @@ from decodyn import _pool
 from decodyn import bath as bath_module
 from decodyn import oracle as oracle_module
 from decodyn.bath import (
-    BathMode,
     BathSpec,
     b1,
     b2,
@@ -23,18 +22,48 @@ from decodyn.model import PolynomialCoupling
 
 
 def single_mode(m=1.0, omega=1.0, c=1.0, beta=math.inf, hbar=1.0):
-    return BathSpec(modes=(BathMode(m, omega, c),), beta=beta, hbar=hbar)
+    return BathSpec([m], [omega], [c], beta=beta, hbar=hbar)
+
+
+@pytest.mark.parametrize(
+    "masses,omegas,couplings,match",
+    [
+        ([], [], [], "at least one mode"),
+        ([1.0, 1.0], [1.0], [1.0, 1.0], "equal length"),
+        ([1.0], [1.0, 2.0], [1.0], "equal length"),
+        ([1.0], [1.0], [], "equal length"),
+        ([[1.0]], [[1.0]], [[1.0]], "1-D"),
+        ([1.0, 0.0], [1.0, 1.0], [1.0, 1.0], "mass must be positive, got 0.0 at mode 1"),
+        ([-1.0], [1.0], [1.0], "mass must be positive"),
+        ([float("nan")], [1.0], [1.0], "mass must be positive, got nan"),
+        ([1.0], [-1.0], [1.0], "frequency must be positive"),
+        ([1.0], [0.0], [1.0], "frequency must be positive"),
+        ([1.0], [float("nan")], [1.0], "frequency must be positive, got nan"),
+    ],
+)
+def test_spec_refuses_bad_modes(masses, omegas, couplings, match):
+    with pytest.raises(ValueError, match=match):
+        BathSpec(masses, omegas, couplings)
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        BathSpec(modes=())
-    with pytest.raises(ValueError):
-        BathMode(0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        BathMode(1.0, -1.0, 1.0)
-    with pytest.raises(ValueError):
-        single_mode(beta=0.0)
+    for kwargs in ({"beta": 0.0}, {"beta": float("nan")}, {"hbar": 0.0}, {"hbar": -1.0}):
+        with pytest.raises(ValueError):
+            single_mode(**kwargs)
+
+
+def test_spec_arrays_are_read_only_copies():
+    masses, omegas, couplings = [1.0, 2.0], np.array([1.0, 0.5]), np.array([0.3, 0.4])
+    bath = BathSpec(masses, omegas, couplings)
+    masses[0], omegas[0], couplings[0] = 9.0, 9.0, 9.0
+    assert bath.masses.tolist() == [1.0, 2.0]
+    assert bath.omegas.tolist() == [1.0, 0.5]
+    assert bath.couplings.tolist() == [0.3, 0.4]
+    for a in (bath.masses, bath.omegas, bath.couplings):
+        assert a.dtype == np.float64 and a.shape == (2,)
+        with pytest.raises(ValueError):
+            a[0] = 5.0
+    assert bath.n_modes == 2
 
 
 def test_thermal_strength_zero_temperature():
@@ -50,7 +79,7 @@ def test_thermal_strength_finite_temperature():
 
 
 def test_thermal_strength_uncoupled_is_zero():
-    bath = BathSpec(modes=(BathMode(1.0, 1.0, 0.0), BathMode(2.0, 0.5, 0.0)))
+    bath = BathSpec([1.0, 2.0], [1.0, 0.5], [0.0, 0.0])
     assert thermal_strength(bath) == 0.0
 
 
@@ -113,10 +142,9 @@ def test_small_time_kernels_are_stable():
 def test_discretize_ohmic_single_mode_example():
     bath = discretize_ohmic(math.pi, math.inf, 1, 1.0)
     assert bath.n_modes == 1
-    mode = bath.modes[0]
-    assert mode.omega == 1.0
-    assert mode.mass == 1.0
-    assert mode.coupling**2 == pytest.approx(2.0, rel=1e-14)
+    assert bath.omegas[0] == 1.0
+    assert bath.masses[0] == 1.0
+    assert bath.couplings[0] ** 2 == pytest.approx(2.0, rel=1e-14)
 
 
 def test_discretize_ohmic_distinct_positive_frequencies():
@@ -144,9 +172,18 @@ def test_dense_ohmic_bath_has_no_early_recurrence():
     assert vals.min() > 0.01 * vals.max()
 
 
+def _qp(bath, seed, start, count):
+    """(q, p) of samples [start, start+count), each of shape (count, n_modes),
+    projected on the identity: row j of q is q @ e_j + p @ 0, whose bytes
+    are q_j's."""
+    eye, zero = np.eye(bath.n_modes), np.zeros((bath.n_modes, bath.n_modes))
+    theta = thermal_sample_block(bath, seed, start, count, (np.vstack([eye, zero]), np.vstack([zero, eye])))
+    return theta[: bath.n_modes].T, theta[bath.n_modes :].T
+
+
 def test_sampling_zero_temperature_widths():
     bath = single_mode()
-    q, p = thermal_sample_block(bath, seed=5, start=0, count=1_000_000)
+    q, p = _qp(bath, seed=5, start=0, count=1_000_000)
     # ground-state widths: var q = var p = 1/2
     assert q.var() == pytest.approx(0.5, rel=0.01)
     assert p.var() == pytest.approx(0.5, rel=0.01)
@@ -158,23 +195,23 @@ def test_sampling_zero_temperature_widths():
 def test_sampling_finite_temperature_widths():
     bath = single_mode(beta=2.0)
     coth1 = (math.e**2 + 1) / (math.e**2 - 1)
-    q, p = thermal_sample_block(bath, seed=6, start=0, count=400_000)
+    q, p = _qp(bath, seed=6, start=0, count=400_000)
     assert q.var() == pytest.approx(coth1 / 2, rel=0.01)
     assert p.var() == pytest.approx(coth1 / 2, rel=0.01)
 
 
 def test_sampling_reproducible_and_partition_invariant():
     bath = discretize_ohmic(0.5, 1.0, 7, 3.0, beta=1.0)
-    q1, p1 = thermal_sample_block(bath, seed=9, start=0, count=10_000)
-    q2, p2 = thermal_sample_block(bath, seed=9, start=0, count=10_000)
+    q1, p1 = _qp(bath, seed=9, start=0, count=10_000)
+    q2, p2 = _qp(bath, seed=9, start=0, count=10_000)
     np.testing.assert_array_equal(q1, q2)
     np.testing.assert_array_equal(p1, p2)
     # ranges crossing the internal substream boundary give identical draws
-    qa, pa = thermal_sample_block(bath, seed=9, start=0, count=3000)
-    qb, pb = thermal_sample_block(bath, seed=9, start=3000, count=7000)
+    qa, pa = _qp(bath, seed=9, start=0, count=3000)
+    qb, pb = _qp(bath, seed=9, start=3000, count=7000)
     np.testing.assert_array_equal(np.vstack([qa, qb]), q1)
     np.testing.assert_array_equal(np.vstack([pa, pb]), p1)
-    qc, _ = thermal_sample_block(bath, seed=9, start=4095, count=10)
+    qc, _ = _qp(bath, seed=9, start=4095, count=10)
     np.testing.assert_array_equal(qc, q1[4095:4105])
 
 
@@ -198,12 +235,12 @@ def sample_ranges(draw):
 
 
 def _projection_reference(bath, seed, start, count, cq, cp):
-    """q @ cq + p @ cp on the (q, p) of the whole substreams that hold
-    [start, start+count), cut to the range.  A product over the range's own
+    """q @ cq + p @ cp on the contract's (q, p) of the whole substreams that
+    hold [start, start+count), cut to the range.  A product over the range's own
     rows is no reference: BLAS takes the last (rows mod 4) rows of a product
     by another kernel, with other bytes."""
     first, stop = start // STREAM, -(-(start + count) // STREAM)
-    q, p = thermal_sample_block(bath, seed, first * STREAM, (stop - first) * STREAM)
+    q, p = _substream_reference(bath, seed, first * STREAM, max(stop - first, 1) * STREAM)
     offset = start - first * STREAM
     return (q @ cq + p @ cp)[offset : offset + count]
 
@@ -212,12 +249,12 @@ def _projection_reference(bath, seed, start, count, cq, cp):
 def test_sampling_bytes_do_not_depend_on_threads_or_split(n_modes, seed, ranges):
     start, count, split = ranges
     bath = discretize_ohmic(0.5, 1.0, n_modes, 3.0, beta=1.0)
-    q1, p1 = _with_workers(1, thermal_sample_block, bath, seed, start, count)
-    q2, p2 = _with_workers(2, thermal_sample_block, bath, seed, start, count)
+    q1, p1 = _with_workers(1, _qp, bath, seed, start, count)
+    q2, p2 = _with_workers(2, _qp, bath, seed, start, count)
     assert q1.shape == p1.shape == q2.shape == p2.shape == (count, n_modes)
     assert q1.tobytes() == q2.tobytes() and p1.tobytes() == p2.tobytes()
-    qa, pa = _with_workers(2, thermal_sample_block, bath, seed, start, split)
-    qb, pb = _with_workers(2, thermal_sample_block, bath, seed, start + split, count - split)
+    qa, pa = _with_workers(2, _qp, bath, seed, start, split)
+    qb, pb = _with_workers(2, _qp, bath, seed, start + split, count - split)
     assert np.vstack([qa, qb]).tobytes() == q1.tobytes()
     assert np.vstack([pa, pb]).tobytes() == p1.tobytes()
     cq, cp = np.random.default_rng(seed).standard_normal((2, n_modes))
@@ -242,7 +279,8 @@ def _substream_reference(bath, seed, start, count):
         ]
     )
     offset = start - first * STREAM
-    block = z[offset : offset + count] * np.concatenate(bath_module._thermal_widths(bath))
+    weights = bath.mode_weights
+    block = z[offset : offset + count] * np.concatenate((weights["q_std"], weights["p_std"]))
     return block[:, : bath.n_modes], block[:, bath.n_modes :]
 
 
@@ -260,7 +298,7 @@ def _substream_reference(bath, seed, start, count):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sampling_follows_the_substream_contract(n_modes, start, count, workers):
     bath = discretize_ohmic(0.5, 1.0, n_modes, 3.0, beta=1.0)
-    q, p = _with_workers(workers, thermal_sample_block, bath, 3, start, count)
+    q, p = _with_workers(workers, _qp, bath, 3, start, count)
     q_ref, p_ref = _substream_reference(bath, 3, start, count)
     assert q.tobytes() == q_ref.tobytes() and p.tobytes() == p_ref.tobytes()
     # the projection drawn per substream has the bytes of the same product on (q, p)

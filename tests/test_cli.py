@@ -294,6 +294,27 @@ def test_parse_fuzz_raises_only_config_errors(name, data):
         pass
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda cfg: cfg["oracle"]["fock"].update(n_levels=8),
+        lambda cfg: cfg["coupling"].update(a=20.0),
+    ],
+    ids=["8-levels", "strong-coupling"],
+)
+def test_unconverged_fock_truncation_exits_2_and_writes_nothing(tmp_path, capsys, change):
+    # doubling the truncation moves the overlap by more than 1e-8, which the
+    # config can only mend through oracle.fock.n_levels
+    cfg = preset_config("fock-validate")
+    change(cfg)
+    path = tmp_path / "fock.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: oracle.fock.n_levels: Fock overlap not converged")
+    assert not out.exists()
+
+
 def test_main_run_and_exit_codes(tmp_path, capsys):
     cfg_path = tmp_path / "ok.json"
     cfg_path.write_text(json.dumps(small_config()))
@@ -424,6 +445,10 @@ def test_non_finite_numbers_rejected(tmp_path, capsys, overrides, field):
         ({"bath": FAST_MODE, "time": {"t_max": 1e10, "n_steps": 20}}, "time.t_max"),
         ({"bath": FAST_MODE, "oracle": {"mc": {"times": [1.0, 1e10]}}}, "oracle.mc.times[1]"),
         ({"bath": FAST_MODE, "oracle": {"fock": {"times": [-1e10]}}}, "oracle.fock.times[0]"),
+        # empty lists: no mode, no oracle time
+        ({"bath": {"modes": []}}, "bath.modes"),
+        ({"oracle": {"mc": {"times": []}}}, "oracle.mc.times"),
+        ({"oracle": {"fock": {"times": []}}}, "oracle.fock.times"),
     ],
 )
 def test_config_errors_name_the_field_once(tmp_path, capsys, overrides, field):
@@ -599,7 +624,10 @@ def test_infinity_spellings(spelling):
     cfg = small_config(model={"beta": spelling}, bath={"ohmic": dict(OHMIC, omega_c=spelling)})
     scn = parse_config(cfg)
     assert scn.model.beta == math.inf
-    assert scn.bath == discretize_ohmic(0.25, math.inf, 8, 5.0)
+    expected = discretize_ohmic(0.25, math.inf, 8, 5.0)
+    for name in ("masses", "omegas", "couplings"):
+        assert getattr(scn.bath, name).tobytes() == getattr(expected, name).tobytes()
+    assert (scn.bath.beta, scn.bath.hbar) == (expected.beta, expected.hbar)
 
 
 def test_preset_name_shadowed_by_directory(tmp_path, monkeypatch):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from decodyn.bath import BathMode, BathSpec, b2, discretize_ohmic, thermal_strength
+from decodyn.bath import BathSpec, b2, discretize_ohmic, thermal_strength
 from decodyn.model import (
     LinearCoupling,
     PolynomialCoupling,
@@ -29,7 +29,7 @@ from decodyn.states import DensityMatrixGrid, GaussianPacket, GridSpec, Superpos
 from decodyn.cli import PRESETS, parse_config, preset_config, run_scenario
 from decodyn.strongdec import compute_series, entropy_series, support_field
 
-SINGLE = BathSpec(modes=(BathMode(1.0, 1.0, 1.0),))
+SINGLE = BathSpec([1.0], [1.0], [1.0])
 OHMIC = discretize_ohmic(0.25, 1.0, 50, 5.0, beta=2.0)
 SIDES = ("classical", "quantum")
 
@@ -323,7 +323,7 @@ def test_zero_b2_keeps_every_pair_live():
     # wrongly cut as dead would add -w there
     rho0 = build_density_matrix(SuperpositionState.symmetric_cat(8.0, 0.2))
     f = PolynomialCoupling((0.0, 0.0, 0.0, 1e6))
-    idle = BathSpec(modes=(BathMode(1.0, 1.0, 0.0),))
+    idle = BathSpec([1.0], [1.0], [0.0])
     _, _, defect = support_field(rho0, f, "quantum")
     assert entropy_series(rho0, [0.0, 1.0], f, SINGLE, "quantum")[0] == -defect
     assert np.all(entropy_series(rho0, [0.0, 1.0, 2.0], f, idle, "quantum") == -defect)

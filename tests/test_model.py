@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from decodyn.bath import BathMode, BathSpec
+from decodyn.bath import BathSpec
 from decodyn.model import (
     LinearCoupling,
     ModelConfig,
@@ -148,7 +148,7 @@ def test_tabulated_quotient_tends_to_its_slope():
     tab = TabulatedCoupling(tuple(qs), tuple(np.sin(qs)))
     x = np.linspace(-3.0, 3.0, 601)
     assert np.max(np.abs(tab.finite_difference(x, 1e-5) - tab.slope(x))) < 1e-9
-    bath = BathSpec(modes=(BathMode(1.0, 1.0, 1.0),))
+    bath = BathSpec([1.0], [1.0], [1.0])
     classical = classical_factor(1e-3, -1e-3, 1.0, tab, bath).log_modulus
     quantum = quantum_factor(1e-3, -1e-3, 1.0, tab, bath).log_modulus
     assert abs(quantum / classical - 1.0) < 1e-5

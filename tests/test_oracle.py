@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from decodyn import oracle
-from decodyn.bath import BathMode, BathSpec, b2, discretize_ohmic, thermal_sample_block
+from decodyn.bath import BathSpec, b2, discretize_ohmic, thermal_sample_block
 from decodyn.model import LinearCoupling, PolynomialCoupling, QuadraticCoupling
 from decodyn.oracle import FockConfig, McEstimate, fock_quantum_factor, mc_classical_factor, short_time_fit
 from decodyn.strongdec import classical_factor, quantum_factor
 
-SINGLE = BathSpec(modes=(BathMode(1.0, 1.0, 1.0),))
+SINGLE = BathSpec([1.0], [1.0], [1.0])
 CUBIC = PolynomialCoupling((0.0, 0.0, 0.0, 1.0))
 
 
@@ -21,7 +21,7 @@ def test_mc_refuses_tiny_or_ragged_sample_counts():
 
 
 def test_mc_uncoupled_bath_is_exactly_one():
-    bath = BathSpec(modes=(BathMode(1.0, 1.0, 0.0), BathMode(1.0, 2.0, 0.0)))
+    bath = BathSpec([1.0, 1.0], [1.0, 2.0], [0.0, 0.0])
     est = mc_classical_factor(2.0, 0.0, 1.3, LinearCoupling(1.0), bath, n_samples=2000)
     assert est.mean == 1.0 + 0.0j
     assert est.std_error == 0.0
@@ -97,7 +97,7 @@ def test_mc_estimate_validation():
 
 
 def test_fock_requires_single_mode():
-    bath = BathSpec(modes=(BathMode(1.0, 1.0, 1.0), BathMode(1.0, 2.0, 0.5)))
+    bath = BathSpec([1.0, 1.0], [1.0, 2.0], [1.0, 0.5])
     with pytest.raises(ValueError, match="single"):
         fock_quantum_factor(1.0, -1.0, 1.0, LinearCoupling(1.0), bath)
 
@@ -108,7 +108,7 @@ def test_fock_config_validation():
 
 
 def test_fock_uncoupled_is_unity():
-    bath = BathSpec(modes=(BathMode(1.0, 1.0, 0.0),))
+    bath = BathSpec([1.0], [1.0], [0.0])
     for t in (0.0, 1.0, 5.0):
         assert fock_quantum_factor(1.0, -1.0, t, LinearCoupling(1.0), bath) == pytest.approx(1.0)
 
@@ -135,7 +135,7 @@ def test_fock_modulus_for_quadratic_coupling():
 
 
 def test_fock_thermal_modulus():
-    bath = BathSpec(modes=(BathMode(1.0, 1.0, 1.0),), beta=2.0)
+    bath = BathSpec([1.0], [1.0], [1.0], beta=2.0)
     f = LinearCoupling(1.0)
     for t in (0.8, 2.0):
         overlap = fock_quantum_factor(1.0, -1.0, t, f, bath, FockConfig(n_levels=96))
@@ -147,13 +147,13 @@ def test_fock_cold_bath_is_the_zero_temperature_overlap():
     # at beta hbar w = 2000 every Boltzmann factor exp(-beta E_n) underflows;
     # relative to the ground level only e_0 is left, as at T = 0
     ts = [0.5, 1.0, 2.0]
-    cold = BathSpec(modes=(BathMode(1.0, 1.0, 1.0),), beta=2000.0)
+    cold = BathSpec([1.0], [1.0], [1.0], beta=2000.0)
     got = fock_quantum_factor(1.0, -1.0, ts, LinearCoupling(1.0), cold, FockConfig(n_levels=16))
     assert np.array_equal(got, fock_quantum_factor(1.0, -1.0, ts, LinearCoupling(1.0), SINGLE, FockConfig(n_levels=16)))
 
 
 def test_fock_truncation_failure_raises():
-    strong = BathSpec(modes=(BathMode(1.0, 1.0, 20.0),))
+    strong = BathSpec([1.0], [1.0], [20.0])
     with pytest.raises(RuntimeError, match="not converged"):
         fock_quantum_factor(1.0, -1.0, 2.0, LinearCoupling(1.0), strong, FockConfig(n_levels=8))
 
@@ -161,13 +161,13 @@ def test_fock_truncation_failure_raises():
 def _einsum_overlap(q1, q2, times, f, bath, n_levels):
     """The thermally weighted trace of U2(t)^dag U1(t), one O(n^3) einsum per
     time, in the same truncated number basis."""
-    mode = bath.modes[0]
+    m, w, c = bath.masses[0], bath.omegas[0], bath.couplings[0]
     n = np.arange(n_levels)
     off = np.sqrt(n[1:])
-    q_mat = np.sqrt(bath.hbar / (2.0 * mode.mass * mode.omega)) * (np.diag(off, 1) + np.diag(off, -1))
-    h_free = np.diag(bath.hbar * mode.omega * (n + 0.5))
-    (e1, v1), (e2, v2) = (np.linalg.eigh(h_free + mode.coupling * f.eval(q) * q_mat) for q in (q1, q2))
-    occ = np.exp(-bath.beta * bath.hbar * mode.omega * (n + 0.5))
+    q_mat = np.sqrt(bath.hbar / (2.0 * m * w)) * (np.diag(off, 1) + np.diag(off, -1))
+    h_free = np.diag(bath.hbar * w * (n + 0.5))
+    (e1, v1), (e2, v2) = (np.linalg.eigh(h_free + c * f.eval(q) * q_mat) for q in (q1, q2))
+    occ = np.exp(-bath.beta * bath.hbar * w * (n + 0.5))
     occ = occ / occ.sum()
     out = []
     for t in times:
@@ -185,7 +185,7 @@ FOCK_KERNEL_ABS = 4e-15
 @pytest.mark.parametrize("beta", [0.5, 2.0])
 @pytest.mark.parametrize("f", [LinearCoupling(1.0), PolynomialCoupling((0.0, 1.0, 0.0, 0.2))], ids=["linear", "cubic"])
 def test_fock_kernel_matches_the_einsum_trace(n_levels, beta, f):
-    bath = BathSpec(modes=(BathMode(1.0, 1.0, 1.0),), beta=beta)
+    bath = BathSpec([1.0], [1.0], [1.0], beta=beta)
     times = np.linspace(0.0, 2 * math.pi, 10)
     got = oracle._branch_overlap(1.0, -1.0, times, f, bath, n_levels)
     assert np.max(np.abs(got - _einsum_overlap(1.0, -1.0, times, f, bath, n_levels))) < FOCK_KERNEL_ABS

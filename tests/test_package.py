@@ -1,4 +1,8 @@
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import decodyn
 
@@ -14,6 +18,7 @@ DELETED = (
     "entropy_quantum",
     "classical_rate2",
     "quantum_rate2",
+    "BathMode",
 )
 
 
@@ -31,3 +36,16 @@ def test_package_all_is_union_of_module_all():
 def test_deleted_names_are_gone():
     for name in DELETED:
         assert not hasattr(decodyn, name), name
+
+
+def test_import_leaves_scipy_interpolate_unloaded():
+    # only a tabulated coupling needs scipy.interpolate; the CLI must start
+    # without paying for it, and the coupling must still evaluate
+    code = (
+        "import sys, decodyn.cli\n"
+        "assert 'scipy.interpolate' not in sys.modules, 'loaded at import'\n"
+        "f = decodyn.model.TabulatedCoupling((0.0, 1.0, 2.0, 3.0), (0.0, 1.0, 4.0, 9.0))\n"
+        "assert f.eval(1.0) == 1.0 and 'scipy.interpolate' in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(decodyn.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

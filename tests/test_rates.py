@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from decodyn.bath import BathMode, BathSpec, discretize_ohmic, thermal_strength
+from decodyn.bath import BathSpec, discretize_ohmic, thermal_strength
 from decodyn.model import LinearCoupling, PolynomialCoupling, QuadraticCoupling, SinusoidalCoupling
 from decodyn.rates import hbar_scan, linear_closed_form, rate_pair, separation_scan
 from decodyn.states import GaussianPacket, SuperpositionState, build_density_matrix, position_variance
 
-SINGLE = BathSpec(modes=(BathMode(1.0, 1.0, 1.0),))
+SINGLE = BathSpec([1.0], [1.0], [1.0])
 CUBIC = PolynomialCoupling((0.0, 0.0, 0.0, 1.0))
 
 
@@ -49,7 +49,7 @@ def test_quadratic_coupling_rates_identical_to_machine_precision():
     "sigma,bath",
     [
         (math.sqrt(0.5), SINGLE),
-        (0.6, BathSpec(modes=(BathMode(2.0, 1.7, 0.9),), beta=1.3)),
+        (0.6, BathSpec([2.0], [1.7], [0.9], beta=1.3)),
         (1.1, discretize_ohmic(0.4, 1.0, 50, 5.0, beta=2.0)),
     ],
 )

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from decodyn import cli
-from decodyn.bath import BathMode, BathSpec, b2_dot, discretize_ohmic, thermal_strength
+from decodyn.bath import BathSpec, b2_dot, discretize_ohmic, thermal_strength
 from decodyn.model import (
     LinearCoupling,
     PolynomialCoupling,
@@ -25,7 +25,7 @@ from decodyn.strongdec import (
     quantum_factor,
 )
 
-SINGLE = BathSpec(modes=(BathMode(1.0, 1.0, 1.0),))
+SINGLE = BathSpec([1.0], [1.0], [1.0])
 OHMIC = discretize_ohmic(0.25, 1.0, 50, 5.0, beta=2.0)
 CUBIC = PolynomialCoupling((0.0, 0.0, 0.0, 1.0))
 
