@@ -38,10 +38,10 @@ __all__ = [
     "thermal_sample_block",
 ]
 
-# Per-substream sample granularity for the counter-based generator contract:
-# sample index i is always drawn from Philox substream i // _STREAM_SAMPLES at
-# row i % _STREAM_SAMPLES, so any partition of the index range over workers
-# reproduces the same draws.
+# Per-substream sample granularity of the sampler's contract: sample index i
+# is always drawn from SFC64 substream i // _STREAM_SAMPLES (the stream spawned
+# from seed with that spawn key) at row i % _STREAM_SAMPLES, so any partition
+# of the index range over workers reproduces the same draws.
 _STREAM_SAMPLES = 4096
 
 
@@ -205,46 +205,45 @@ def thermal_sample_block(bath: BathSpec, seed: int, start: int, count: int, proj
 
     Returns theta, of shape (count,) or (k, count), whose row j holds
     q @ coef_q[j] + p @ coef_p[j] per sample.  Sample i is row i % 4096 of
-    Philox(key=seed).jumped(i // 4096)'s (4096, 2 n_modes) normals, scaled
-    by the widths [q_std, p_std], and is projected as that row of the whole
-    substream's product, so theta's bytes depend on (seed, index) alone:
-    never on how the index range is partitioned, nor on how many threads
-    fill it.  Worker r of W draws substreams r, r + W, ... into one reused
-    (4096, 2 n_modes) buffer; no (count, 2 n_modes) block is formed.
+    the (4096, 2 n_modes) normals z of Generator(SFC64(SeedSequence(seed,
+    spawn_key=(i // 4096,)))), with (q, p) = z * [q_std, p_std]; its phase
+    is that row of the whole substream's product z @ hstack((coef_q * q_std,
+    coef_p * p_std)), so theta's bytes depend on (seed, index) alone: never
+    on how the index range is partitioned, nor on how many threads fill it.
+    Worker r of W draws substreams r, r + W, ... into one reused buffer; no
+    (count, 2 n_modes) block is formed.
     """
     if count < 0 or start < 0:
         raise ValueError("start and count must be nonnegative")
-    n = bath.n_modes
     weights = bath.mode_weights
-    widths = np.concatenate((weights["q_std"], weights["p_std"]))
     first = start // _STREAM_SAMPLES
     last = (start + count - 1) // _STREAM_SAMPLES if count else first - 1
     streams = range(first, last + 1)
     coef_q, coef_p = (np.atleast_2d(c) for c in project)
-    theta = np.empty((coef_q.shape[0], count))
+    # the widths ride on the coefficients, so each time is one product of raw normals
+    coefs = np.hstack((coef_q * weights["q_std"], coef_p * weights["p_std"]))
+    theta = np.empty((coefs.shape[0], count))
 
     def fill(stream: int, buf: np.ndarray) -> None:
-        gen = np.random.Generator(np.random.Philox(key=seed).jumped(stream))
+        gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(stream,))))
         s0 = stream * _STREAM_SAMPLES
         lo, hi = max(start, s0), min(start + count, s0 + _STREAM_SAMPLES)
         # the substream's normals come in row order: the rows before lo are
-        # drawn too, and only the range's rows are scaled and read
+        # drawn too, and only the range's rows are read
         gen.standard_normal(out=buf[: hi - s0])
-        buf[lo - s0 : hi - s0] *= widths
         # sample i is projected at row i % 4096 of a 4096-row product whatever
         # the range: BLAS takes the last (rows mod 4) rows of a product by
         # another kernel, so a product over the range's rows alone would not
         # have the same bytes for every range
-        for j in range(theta.shape[0]):
-            row = buf[:, :n] @ coef_q[j] + buf[:, n:] @ coef_p[j]
-            theta[j, lo - start : hi - start] = row[lo - s0 : hi - s0]
+        for j, row in enumerate(coefs):
+            theta[j, lo - start : hi - start] = (buf @ row)[lo - s0 : hi - s0]
 
-    # one hand-off a call, as numpy's Philox fill and BLAS release the GIL;
-    # even one-mode rows gain from two substreams on
+    # one hand-off a call, as numpy's normal fill and BLAS release the GIL;
+    # one-mode rows break even at two substreams and gain from four on
     step = max(1, min(_pool.WORKERS, len(streams)))
 
     def worker(r: int) -> None:
-        buf = np.zeros((_STREAM_SAMPLES, 2 * n))
+        buf = np.zeros((_STREAM_SAMPLES, 2 * bath.n_modes))
         for stream in streams[r::step]:
             fill(stream, buf)
 

@@ -145,6 +145,13 @@ def _get_numbers(cfg: dict, key: str, path: str, most: int | None = None) -> lis
     return [_finite(v, f"{path}.{key}[{i}]") for i, v in enumerate(vals)]
 
 
+def _seed(value: int, path: str) -> int:
+    """A run seed in [0, 2^64), checked before the sampler's SeedSequence sees it."""
+    if not 0 <= value < 2**64:
+        raise ConfigError(f"{path}: must be in [0, 2^64), got {value}")
+    return value
+
+
 def _get_or_inf(cfg: dict, key: str, path: str) -> float:
     """cfg[key] as a finite number; missing, null or "inf" spell infinity."""
     if cfg.get(key) in (None, "inf"):
@@ -427,7 +434,7 @@ def parse_config(cfg: dict) -> Scenario:
         probe=probe,
         scan=_parse_scan(cfg, bath),
         oracle=_parse_oracle(cfg, bath),
-        seed=_get(cfg, "seed", "config", int, default=0),
+        seed=_seed(_get(cfg, "seed", "config", int, default=0), "config.seed"),
     )
     grids = [grid]
     if scn.scan is not None and scn.scan["kind"] == "separation":
@@ -553,45 +560,38 @@ def run_scenario(source, out_dir=".", seed: int | None = None) -> dict:
     """
     cfg = _load(source)
     scn = parse_config(cfg)
-    run_seed = scn.seed if seed is None else int(seed)
+    run_seed = scn.seed if seed is None else _seed(int(seed), "seed")
 
-    rho0 = scn.rho0
-    series = compute_series(rho0, scn.coupling, scn.bath, scn.times, scn.probe)
-    # the oracle may still refuse the config, so it runs before any file is written
-    records = None if scn.oracle is None else _oracle_records(scn, run_seed)
+    rho0, scan = scn.rho0, scn.scan
+    # every output is computed before any file is written: the oracle may
+    # still refuse the config, and so may a coupling whose exponents or phases
+    # overflow the float range, which numpy would write as inf, or as NaN
+    # where an inf meets a zero
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            series = compute_series(rho0, scn.coupling, scn.bath, scn.times, scn.probe)
+            if scan is not None and scan["kind"] == "separation":
+                seps = scan["separations"]
+                scan_rows = ("separation", seps, separation_scan(scn.coupling, seps, scan["sigma"], scn.bath))
+            elif scan is not None:
+                scan_rows = ("hbar_factor", scan["factors"], hbar_scan(rho0, scn.coupling, scn.bath, scan["factors"]))
+            records = None if scn.oracle is None else _oracle_records(scn, run_seed)
+        except (FloatingPointError, OverflowError) as exc:
+            raise ConfigError(f"coupling: the run's exponents or phases overflow the float range ({exc})") from exc
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {}
-
-    series_path = out / f"{scn.name}_series.csv"
-    _write_series(series_path, series)
-    paths["series"] = series_path
-
-    scan_meta = None
-    if scn.scan is not None:
-        scan_path = out / f"{scn.name}_scan.csv"
-        if scn.scan["kind"] == "separation":
-            pairs = separation_scan(
-                scn.coupling, scn.scan["separations"], scn.scan["sigma"], scn.bath
-            )
-            _write_scan(scan_path, "separation", scn.scan["separations"], pairs)
-            scan_meta = {"kind": "separation", "points": len(pairs), "sigma": scn.scan["sigma"]}
-        else:
-            pairs = hbar_scan(rho0, scn.coupling, scn.bath, scn.scan["factors"])
-            _write_scan(scan_path, "hbar_factor", scn.scan["factors"], pairs)
-            scan_meta = {"kind": "hbar", "points": len(pairs)}
-        paths["scan"] = scan_path
-
-    oracle_meta = None
+    paths = {"series": out / f"{scn.name}_series.csv"}
+    _write_series(paths["series"], series)
+    scan_meta = oracle_meta = None
+    if scan is not None:
+        paths["scan"] = out / f"{scn.name}_scan.csv"
+        _write_scan(paths["scan"], *scan_rows)
+        scan_meta = {k: v for k, v in scan.items() if k in ("kind", "sigma")} | {"points": len(scan_rows[2])}
     if records is not None:
-        oracle_path = out / f"{scn.name}_oracle.json"
-        oracle_path.write_text(json.dumps(records, indent=2, sort_keys=True) + "\n")
-        oracle_meta = {
-            kind: {k: v for k, v in scn.oracle[kind].items() if k != "times"}
-            for kind in records
-        }
-        paths["oracle"] = oracle_path
+        paths["oracle"] = out / f"{scn.name}_oracle.json"
+        paths["oracle"].write_text(json.dumps(records, indent=2, sort_keys=True) + "\n")
+        oracle_meta = {kind: {k: v for k, v in scn.oracle[kind].items() if k != "times"} for kind in records}
 
     manifest = {
         "name": scn.name,

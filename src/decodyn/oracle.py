@@ -97,9 +97,7 @@ def mc_classical_factor(
     hbar = bath.hbar
     lam = dq * slope / hbar
 
-    w = bath.omegas
-    m = bath.masses
-    c = bath.couplings
+    w, m, c = bath.omegas, bath.masses, bath.couplings
     x = np.multiply.outer(np.atleast_1d(np.asarray(t, dtype=float)), w)
     coef_q = lam * c * np.sin(x) / w
     coef_p = lam * c * _one_minus_cos(x) / (m * w * w)
@@ -189,6 +187,8 @@ def fock_quantum_factor(
     if bath.n_modes != 1:
         raise ValueError("Fock oracle supports a single bath mode only")
     times = np.atleast_1d(np.asarray(t, dtype=float))
+    if times.size == 0:
+        raise ValueError("t: the time list is empty; the Fock oracle needs at least one time")
     coarse = _branch_overlap(q1, q2, times, f, bath, fock.n_levels)
     fine = _branch_overlap(q1, q2, times, f, bath, 2 * fock.n_levels)
     drift = float(np.max(np.abs(fine - coarse)))

@@ -176,7 +176,8 @@ def entropy_series(rho0: DensityMatrixGrid, times, f: CouplingFunction, bath: Ba
     def fill(rows: range) -> None:
         buf = np.empty(xu.size)
         for i in rows:
-            b = b2s[i]
+            # a Python float: a subnormal b2 cuts at inf, with no overflow error
+            b = float(b2s[i])
             k = xu.size if nan or not b > 0 else int(np.searchsorted(xu, _DEAD / b))
             live = buf[:k]
             np.multiply(xu[:k], -b, out=live)

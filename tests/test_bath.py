@@ -174,8 +174,8 @@ def test_dense_ohmic_bath_has_no_early_recurrence():
 
 def _qp(bath, seed, start, count):
     """(q, p) of samples [start, start+count), each of shape (count, n_modes),
-    projected on the identity: row j of q is q @ e_j + p @ 0, whose bytes
-    are q_j's."""
+    projected on the identity: row j of q is z @ (q_std_j e_j), a sum of
+    exact zeros and one product, whose bytes are z_j q_std_j's."""
     eye, zero = np.eye(bath.n_modes), np.zeros((bath.n_modes, bath.n_modes))
     theta = thermal_sample_block(bath, seed, start, count, (np.vstack([eye, zero]), np.vstack([zero, eye])))
     return theta[: bath.n_modes].T, theta[bath.n_modes :].T
@@ -234,18 +234,34 @@ def sample_ranges(draw):
     return start, count, draw(st.integers(0, count))
 
 
+def _substream_normals(bath, seed, start, count):
+    """The contract's standard normals of the whole substreams that hold
+    [start, start+count), with the offset of start in them: substream s is
+    the (4096, 2n) normals of SFC64 spawned from seed with spawn key s."""
+    first = start // STREAM
+    stop = max(-(-(start + count) // STREAM), first + 1)
+    z = np.vstack(
+        [
+            np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(s,)))).standard_normal(
+                (STREAM, 2 * bath.n_modes)
+            )
+            for s in range(first, stop)
+        ]
+    )
+    return z, start - first * STREAM
+
+
 def _projection_reference(bath, seed, start, count, cq, cp):
-    """q @ cq + p @ cp on the contract's (q, p) of the whole substreams that
-    hold [start, start+count), cut to the range.  A product over the range's own
-    rows is no reference: BLAS takes the last (rows mod 4) rows of a product
-    by another kernel, with other bytes."""
-    first, stop = start // STREAM, -(-(start + count) // STREAM)
-    q, p = _substream_reference(bath, seed, first * STREAM, max(stop - first, 1) * STREAM)
-    offset = start - first * STREAM
-    return (q @ cq + p @ cp)[offset : offset + count]
+    """z @ hstack((cq * q_std, cp * p_std)) on the contract's normals z of the
+    whole substreams that hold [start, start+count), cut to the range.  A
+    product over the range's own rows is no reference: BLAS takes the last
+    (rows mod 4) rows of a product by another kernel, with other bytes."""
+    z, offset = _substream_normals(bath, seed, start, count)
+    weights = bath.mode_weights
+    return (z @ np.hstack((cq * weights["q_std"], cp * weights["p_std"])))[offset : offset + count]
 
 
-@given(n_modes=st.integers(8, 64), seed=st.integers(0, 2**32 - 1), ranges=sample_ranges())
+@given(n_modes=st.integers(8, 64), seed=st.integers(0, 2**64 - 1), ranges=sample_ranges())
 def test_sampling_bytes_do_not_depend_on_threads_or_split(n_modes, seed, ranges):
     start, count, split = ranges
     bath = discretize_ohmic(0.5, 1.0, n_modes, 3.0, beta=1.0)
@@ -268,17 +284,10 @@ def test_sampling_bytes_do_not_depend_on_threads_or_split(n_modes, seed, ranges)
 
 
 def _substream_reference(bath, seed, start, count):
-    """Samples [start, start+count) by the contract alone: sample i is row
-    i % 4096 of Philox(key=seed).jumped(i // 4096)'s (4096, 2n) normals,
-    scaled by the thermal widths."""
-    first, last = start // STREAM, (start + count - 1) // STREAM
-    z = np.vstack(
-        [
-            np.random.Generator(np.random.Philox(key=seed).jumped(s)).standard_normal((STREAM, 2 * bath.n_modes))
-            for s in range(first, last + 1)
-        ]
-    )
-    offset = start - first * STREAM
+    """(q, p) of samples [start, start+count) by the contract alone: sample i
+    is row i % 4096 of substream i // 4096's normals, times the thermal
+    widths."""
+    z, offset = _substream_normals(bath, seed, start, count)
     weights = bath.mode_weights
     block = z[offset : offset + count] * np.concatenate((weights["q_std"], weights["p_std"]))
     return block[:, : bath.n_modes], block[:, bath.n_modes :]

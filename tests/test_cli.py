@@ -1,11 +1,16 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from decodyn import cli, states
@@ -449,6 +454,10 @@ def test_non_finite_numbers_rejected(tmp_path, capsys, overrides, field):
         ({"bath": {"modes": []}}, "bath.modes"),
         ({"oracle": {"mc": {"times": []}}}, "oracle.mc.times"),
         ({"oracle": {"fock": {"times": []}}}, "oracle.fock.times"),
+        # seeds outside [0, 2^64)
+        ({"seed": -1}, "config.seed"),
+        ({"seed": 2**64}, "config.seed"),
+        ({"seed": 2**128}, "config.seed"),
     ],
 )
 def test_config_errors_name_the_field_once(tmp_path, capsys, overrides, field):
@@ -463,6 +472,34 @@ def test_config_errors_name_the_field_once(tmp_path, capsys, overrides, field):
     path.write_text(json.dumps(small_config(**overrides)))
     assert main(["validate", str(path)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_seed_option_outside_its_range_exits_2(tmp_path, capsys):
+    path = tmp_path / "ok.json"
+    path.write_text(json.dumps(small_config()))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "config error: seed: must be in [0, 2^64), got -1\n"
+    assert main(["run", str(path), "--out", str(out), "--seed", str(2**64)]) == 2
+    assert not out.exists()
+    assert main(["run", str(path), "--out", str(out), "--seed", str(2**64 - 1)]) == 0
+
+
+def test_overflowing_coupling_exits_2_and_writes_nothing(tmp_path):
+    # finite coefficients whose decay exponents overflow: the run exits 2
+    # naming the coupling, under -W error too, before any file is written
+    cfg = preset_config("linear") | {"coupling": {"variant": "polynomial", "coefficients": [0, 0, 0, 1e300]}}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "decodyn", "run", str(path), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith("config error: coupling: the run's exponents or phases overflow the float range")
+    assert not out.exists()
 
 
 def test_overflowing_phase_refused_before_the_run(tmp_path, capsys):
@@ -680,3 +717,74 @@ def test_list_caps_parse_only(tmp_path, capsys, field, make):
     with pytest.raises(ConfigError) as err:
         parse_config(json.loads(path.read_text()))
     assert str(err.value) == f"{field}: must hold at most {cap} entries, got {cap + 1}"
+
+
+# the run fuzz's sizes: at most 3 explicit modes or 12 Ohmic ones, 2
+# packets of width at least 0.05 within 5 of the origin, 12 times, 2 oracle
+# or scan entries, 1000 MC samples and 16 Fock levels; the coefficients reach
+# 1e300 either way, and the seeds step past both ends of [0, 2^64)
+FUZZ_COEFFICIENTS = st.floats(-1e300, 1e300)
+FUZZ_TIMES = st.lists(st.floats(0.0, 3.0), min_size=1, max_size=2)
+
+
+@st.composite
+def run_configs(draw):
+    if draw(st.booleans()):
+        eta, n_modes = draw(st.floats(0.01, 2.0)), draw(st.integers(1, 12))
+        bath = {"ohmic": {"eta": eta, "omega_c": 1.0, "n_modes": n_modes, "omega_max": 5.0}}
+    else:
+        mode = st.fixed_dictionaries({"m": st.floats(0.5, 2.0), "omega": st.floats(0.1, 5.0), "c": FUZZ_COEFFICIENTS})
+        bath = {"modes": draw(st.lists(mode, min_size=1, max_size=3))}
+    coupling = draw(
+        st.one_of(
+            st.fixed_dictionaries(
+                {"variant": st.just("polynomial"), "coefficients": st.lists(FUZZ_COEFFICIENTS, min_size=1, max_size=4)}
+            ),
+            st.fixed_dictionaries(
+                {"variant": st.just("sinusoidal"), "amplitude": FUZZ_COEFFICIENTS, "wavelength": st.floats(0.1, 10.0)}
+            ),
+        )
+    )
+    packet = st.fixed_dictionaries({"center_q": st.floats(-5.0, 5.0), "sigma": st.floats(0.05, 2.0)})
+    cfg = {
+        "name": "fuzz",
+        "model": {"hbar": draw(st.floats(0.1, 10.0)), "beta": draw(st.one_of(st.none(), st.floats(0.1, 10.0)))},
+        "bath": bath,
+        "coupling": coupling,
+        "state": {"packets": draw(st.lists(packet, min_size=1, max_size=2))},
+        "time": {"t_max": draw(st.floats(0.01, 10.0)), "n_steps": draw(st.integers(2, 12))},
+        "seed": draw(st.integers(-1, 2**64)),
+    }
+    oracle = {}
+    if draw(st.booleans()):
+        oracle["mc"] = {"times": draw(FUZZ_TIMES), "n_samples": 1000}
+    if draw(st.booleans()):
+        oracle["fock"] = {"times": draw(FUZZ_TIMES), "n_levels": draw(st.integers(8, 16))}
+    if oracle:
+        cfg["oracle"] = oracle
+    scan = draw(st.sampled_from([None, "hbar", "separation"]))
+    if scan == "hbar":
+        cfg["scan"] = {"hbar_factors": draw(st.lists(st.floats(0.5, 2.0), min_size=1, max_size=2))}
+    elif scan == "separation":
+        cfg["scan"] = {"separations": [2.0, 4.0], "sigma": draw(st.floats(0.1, 0.5))}
+    return cfg
+
+
+@settings(max_examples=60)
+@example(small_config(coupling={"variant": "polynomial", "coefficients": [0, 0, 0, 1e300]}))
+@example(preset_config("linear") | {"coupling": {"variant": "polynomial", "coefficients": [0, 0, 0, 1e300]}})
+# a subnormal b2 at the first times once overflowed the entropy's live cut
+@example(small_config(time={"t_max": 1e-154, "n_steps": 5}))
+@given(cfg=run_configs())
+def test_run_fuzz_runs_or_exits_2_or_3(cfg):
+    # what parses must run: every generated config runs, writing a series
+    # without inf or NaN, or exits 2 or 3, and nothing warns (warnings are
+    # errors in this suite)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["run", str(path), "--out", f"{tmp}/out"])
+        assert code in (0, 2, 3)
+        if code == 0:
+            series = (Path(tmp) / "out" / f"{cfg['name']}_series.csv").read_text()
+            assert "nan" not in series and "inf" not in series
