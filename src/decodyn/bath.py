@@ -247,9 +247,5 @@ def thermal_sample_block(bath: BathSpec, seed: int, start: int, count: int, proj
         for stream in streams[r::step]:
             fill(stream, buf)
 
-    if step > 1:
-        # list() waits for every worker and re-raises the first failure
-        list(_pool.thread_pool().map(worker, range(step)))
-    else:
-        worker(0)
+    _pool.run(worker, range(step))
     return theta.reshape(np.shape(project[0])[:-1] + (count,))

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bath import BathSpec, discretize_ohmic, thermal_strength
+from .bath import BathSpec, _one_minus_cos, _x_minus_sin, discretize_ohmic, thermal_strength
 from .model import (
     CouplingFunction,
     LinearCoupling,
@@ -200,7 +200,8 @@ def _check_bath(bath: BathSpec, path: str) -> BathSpec:
     raise ConfigError(f"{field}: {name}{where} overflows the float range")
 
 
-def _parse_bath(cfg: dict, model: ModelConfig) -> BathSpec:
+def _parse_bath(cfg: dict, model: ModelConfig) -> tuple[BathSpec, str]:
+    """The bath and its config path, bath.ohmic or bath.modes."""
     raw = _get(cfg, "bath", "config", dict, required=True)
     if "ohmic" in raw:
         o = _get(raw, "ohmic", "bath", dict, required=True)
@@ -215,7 +216,7 @@ def _parse_bath(cfg: dict, model: ModelConfig) -> BathSpec:
             raise ConfigError(f"bath.ohmic.n_modes: must be in [1, {_MAX_BATH_MODES}], got {n_modes}")
         with _field("bath.ohmic"):
             bath = discretize_ohmic(eta, omega_c, n_modes, omega_max, beta=model.beta, hbar=model.hbar)
-        return _check_bath(bath, "bath.ohmic")
+        return _check_bath(bath, "bath.ohmic"), "bath.ohmic"
     if "modes" in raw:
         masses, omegas, couplings = [], [], []
         for i, entry in enumerate(_get(raw, "modes", "bath", list, required=True)):
@@ -230,7 +231,7 @@ def _parse_bath(cfg: dict, model: ModelConfig) -> BathSpec:
                     raise ConfigError(f"{path}: mode {what} must be positive, got {val}")
         with _field("bath.modes"):
             bath = BathSpec(masses, omegas, couplings, beta=model.beta, hbar=model.hbar)
-        return _check_bath(bath, "bath.modes")
+        return _check_bath(bath, "bath.modes"), "bath.modes"
     raise ConfigError("bath: must contain either 'ohmic' or 'modes'")
 
 
@@ -292,15 +293,36 @@ def _parse_state(cfg: dict) -> tuple[SuperpositionState, GridSpec]:
         return state, GridSpec(q_min=q_min, q_max=q_max, n_points=n_points)
 
 
-def _check_phase(bath: BathSpec, t: float, path: str) -> None:
+def _check_phase(bath: BathSpec, t: float, path: str, source: str) -> None:
     """Refuse a time at which the phase omega t of the fastest bath mode
     overflows the float range: the kernels' sin and cos would turn it into
-    NaN in every column after t = 0."""
+    NaN in every column after t = 0.  Refuse one, too, by which a kernel term
+    weight * term(w t), or a kernel's sum of them, can overflow: over
+    |t'| <= |t| the terms peak at x - sin x for x = w |t|, 1 - cos x for x =
+    min(w |t|, pi) and |sin x| for x = min(w |t|, pi/2).  The blame goes to
+    the mode, or to source (the bath's config path) for an Ohmic bath or a
+    sum."""
     if not math.isfinite(float(np.max(bath.omegas)) * t):
         raise ConfigError(f"{path}: omega t of the fastest bath mode overflows the float range at t = {t!r}")
+    x = bath.omegas * abs(t)
+    peaks = {
+        "b1": _x_minus_sin(x),
+        "b2": _one_minus_cos(np.minimum(x, math.pi)),
+        "b2_dot": np.sin(np.minimum(x, 0.5 * math.pi)),
+    }
+    by = f"overflows the float range by {path} = {t!r}"
+    with np.errstate(over="ignore"):
+        for name, peak in peaks.items():
+            terms = bath.mode_weights[name] * peak
+            bad = np.flatnonzero(~np.isfinite(terms))
+            if bad.size:
+                field = f"bath.modes[{bad[0]}]" if source == "bath.modes" else source
+                raise ConfigError(f"{field}: the {name} kernel term of bath mode {bad[0]} {by}")
+            if not math.isfinite(float(np.sum(terms))):
+                raise ConfigError(f"{source}: the {name} kernel's sum over the modes {by}")
 
 
-def _parse_times(cfg: dict, bath: BathSpec) -> np.ndarray:
+def _parse_times(cfg: dict, bath: BathSpec, source: str) -> np.ndarray:
     raw = _get(cfg, "time", "config", dict, required=True)
     t_max = _get(raw, "t_max", "time", float, required=True)
     n_steps = _get(raw, "n_steps", "time", int, required=True)
@@ -310,7 +332,7 @@ def _parse_times(cfg: dict, bath: BathSpec) -> np.ndarray:
         raise ConfigError(f"time.n_steps: must be in [2, {_MAX_TIME_STEPS}], got {n_steps}")
     if n_steps * bath.n_modes > _MAX_KERNEL_CELLS:
         raise ConfigError(f"time.n_steps: {n_steps} x {bath.n_modes} bath modes exceeds {_MAX_KERNEL_CELLS} cells")
-    _check_phase(bath, t_max, "time.t_max")
+    _check_phase(bath, t_max, "time.t_max", source)
     return np.linspace(0.0, t_max, n_steps)
 
 
@@ -344,7 +366,7 @@ def _parse_scan(cfg: dict, bath: BathSpec) -> dict | None:
     raise ConfigError("scan: must contain 'separations' (+'sigma') or 'hbar_factors'")
 
 
-def _parse_oracle(cfg: dict, bath: BathSpec) -> dict | None:
+def _parse_oracle(cfg: dict, bath: BathSpec, source: str) -> dict | None:
     if "oracle" not in cfg:
         return None
     raw = _get(cfg, "oracle", "config", dict, required=True)
@@ -377,7 +399,7 @@ def _parse_oracle(cfg: dict, bath: BathSpec) -> dict | None:
         if not spec["times"]:
             raise ConfigError(f"oracle.{kind}.times: needs at least one time")
         for i, t in enumerate(spec["times"]):
-            _check_phase(bath, t, f"oracle.{kind}.times[{i}]")
+            _check_phase(bath, t, f"oracle.{kind}.times[{i}]", source)
     return out
 
 
@@ -412,10 +434,10 @@ def parse_config(cfg: dict) -> Scenario:
     if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
         raise ConfigError(f"config.name: must be a plain file name, got {name!r}")
     model = _parse_model(cfg)
-    bath = _parse_bath(cfg, model)
+    bath, source = _parse_bath(cfg, model)
     coupling = _parse_coupling(cfg)
     state, grid = _parse_state(cfg)
-    times = _parse_times(cfg, bath)
+    times = _parse_times(cfg, bath, source)
     probe = _default_probe(state)
     if "probe" in cfg:
         p = _get(cfg, "probe", "config", dict, required=True)
@@ -433,7 +455,7 @@ def parse_config(cfg: dict) -> Scenario:
         times=times,
         probe=probe,
         scan=_parse_scan(cfg, bath),
-        oracle=_parse_oracle(cfg, bath),
+        oracle=_parse_oracle(cfg, bath, source),
         seed=_seed(_get(cfg, "seed", "config", int, default=0), "config.seed"),
     )
     grids = [grid]

@@ -25,6 +25,7 @@ entropy series near t = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,9 +128,15 @@ def _jackknife(phase: np.ndarray) -> McEstimate:
     mean = total / n_samples
     loo = (total - block_sums) / (n_samples - block)
     nb = _JACKKNIFE_BLOCKS
-    var_re = (nb - 1) / nb * np.sum((loo.real - loo.real.mean()) ** 2)
-    var_im = (nb - 1) / nb * np.sum((loo.imag - loo.imag.mean()) ** 2)
-    return McEstimate(mean=complex(mean), std_error=float(np.sqrt(var_re + var_im)), n_samples=n_samples)
+    dev_re, dev_im = loo.real - loo.real.mean(), loo.imag - loo.imag.mean()
+    # squared at a power-of-two scale that brings the largest deviation to
+    # [1/2, 1): deviations near 1e-178 would square to 0, and the rescaling
+    # is exact wherever the squares do not underflow
+    _, e = math.frexp(float(max(np.max(np.abs(dev_re)), np.max(np.abs(dev_im)))))
+    var_re = (nb - 1) / nb * np.sum(np.ldexp(dev_re, -e) ** 2)
+    var_im = (nb - 1) / nb * np.sum(np.ldexp(dev_im, -e) ** 2)
+    std_error = math.ldexp(float(np.sqrt(var_re + var_im)), e)
+    return McEstimate(mean=complex(mean), std_error=std_error, n_samples=n_samples)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,8 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _pool
+
 __all__ = [
     "GridCoverageError",
     "GaussianPacket",
@@ -353,7 +355,9 @@ class WignerGrid:
         object.__setattr__(self, "values", v)
         if v.shape != (q.size, p.size):
             raise ValueError(f"values must be {(q.size, p.size)}, got {v.shape}")
-        mass = float(np.trapezoid(np.trapezoid(v, p, axis=1), q))
+        # trapezoid weights over p: no n x n temporary, and no BLAS threads competing with the pool's
+        half = 0.5 * np.diff(p)
+        mass = float(np.trapezoid(np.einsum("ij,j->i", v, np.pad(half, (0, 1)) + np.pad(half, (1, 0))), q))
         # the comparison also refuses a non-finite mass
         if not abs(mass - 1.0) <= 1e-6:
             raise ValueError(f"Wigner mass {mass} != 1")
@@ -396,6 +400,15 @@ def position_variance(rho: DensityMatrixGrid) -> float:
     return float(np.trapezoid(d * (q - mean) ** 2, q) / norm)
 
 
+# rows of one task of the Wigner pair's FFT stages on the pool; every FFT
+# runs row by row, so the bytes do not depend on it
+_ROW_BLOCK = 64
+
+
+def _row_blocks(n: int) -> list[slice]:
+    return [slice(r, min(r + _ROW_BLOCK, n)) for r in range(0, n, _ROW_BLOCK)]
+
+
 def wigner_transform(rho: DensityMatrixGrid) -> WignerGrid:
     """Fourier transform along the off-diagonal coordinate at fixed midpoint,
     normalized by 1/(2 pi hbar) so the roundtrip with inverse_wigner is the
@@ -411,9 +424,19 @@ def wigner_transform(rho: DensityMatrixGrid) -> WignerGrid:
     for k in range((n + 1) // 2):
         d = 2 * k
         v[k : n - k, k] = np.diagonal(rho.values, -d) if psi is None else psi[d:] * psi[: n - d].conj()
-    # FFT index l - n//2 is the centred momentum index l
-    w = np.fft.fftshift(np.fft.hfft(v, n, axis=1), axes=1)
-    w *= h / (np.pi * hbar)
+    w = np.empty((n, n))
+    scale = h / (np.pi * hbar)
+
+    def transform(rows: slice) -> None:
+        # hfft(v) is irfft(conj(v), norm="forward"), and only irfft writes
+        # into out=; FFT index l - n//2 is the centred momentum index l
+        block = v[rows]
+        np.conjugate(block, out=block)
+        f = np.fft.irfft(block, n, axis=1, norm="forward")
+        np.multiply(f[:, : n - n // 2], scale, out=w[rows, n // 2 :])
+        np.multiply(f[:, n - n // 2 :], scale, out=w[rows, : n // 2])
+
+    _pool.run(transform, _row_blocks(n))
     p = (np.arange(n) - n // 2) * (np.pi * hbar / (h * n))
     return WignerGrid(q=rho.grid.q.copy(), p=p, values=w, hbar=hbar)
 
@@ -440,19 +463,36 @@ def inverse_wigner(w: WignerGrid) -> DensityMatrixGrid:
         phase = np.array([1, -1j, -1, 1j])[np.arange(n) % 4] * dp_expect
     else:
         phase = np.exp(-1j * np.pi * (np.arange(n) * (n // 2) % (2 * n)) / n) * dp_expect
-    r = np.fft.rfft(w.values, 2 * n, axis=1).T
+    r = np.empty((n, n + 1), dtype=complex)
     # both sublattices offset-major: row k holds offset 2k + parity, a diagonal
-    even = np.conjugate(r[0:n:2], order="C")
-    even *= phase[0::2, None]
-    odd = np.conjugate(r[1:n:2], order="C")
-    odd *= phase[1::2, None]
+    even = np.empty(((n + 1) // 2, n), dtype=complex)
+    odd = np.empty((n // 2, n), dtype=complex)
+
+    def transform(rows: slice) -> None:
+        # conj(r) times the centring phase, a row at a time: a 2-D multiply
+        # would hold numpy iterator buffers on top of r and both sublattices
+        block = r[rows]
+        np.fft.rfft(w.values[rows], 2 * n, axis=1, out=block)
+        np.conjugate(block, out=block)
+        for row in block:
+            row[:n] *= phase
+
+    _pool.run(transform, _row_blocks(n))
+    # transposing copies need no iterator buffer either
+    np.copyto(even, r[:, 0:n:2].T)
+    np.copyto(odd, r[:, 1:n:2].T)
     del r
     # The odd sublattice also sits half a step off in midpoint: evaluate the
     # trigonometric interpolant there (signed frequencies, Nyquist bin at
     # -n/2) by a phase ramp on its spectrum along the midpoint axis.
-    odd = np.fft.fft(odd, axis=1)
-    odd *= np.exp(1j * np.pi * np.fft.fftfreq(n))
-    odd = np.fft.ifft(odd, axis=1)
+    ramp = np.exp(1j * np.pi * np.fft.fftfreq(n))
+
+    def shift(rows: slice) -> None:
+        f = np.fft.fft(odd[rows], axis=1)
+        f *= ramp
+        np.fft.ifft(f, axis=1, out=odd[rows])
+
+    _pool.run(shift, _row_blocks(n // 2))
     # offset d sits at midpoints k..n-k-parity of row k, d = 2k + parity:
     # the diagonal below the main one at d, and conjugated above it
     rho = np.empty((n, n), dtype=complex)

@@ -186,13 +186,9 @@ def entropy_series(rho0: DensityMatrixGrid, times, f: CouplingFunction, bath: Ba
             # each dead pair adds -w in place of its expm1 w
             out[i] = -(live.sum() - wu[k:].sum()) - defect
 
-    workers = _pool.WORKERS
-    if workers > 1 and b2s.size > 1 and xu.size * b2s.size >= _WIDE_SERIES:
-        # interleaved rows balance early, all-live times against late ones;
-        # list() waits for every fill and re-raises the first failure
-        list(_pool.thread_pool().map(fill, [range(r, b2s.size, workers) for r in range(workers)]))
-    else:
-        fill(range(b2s.size))
+    # interleaved rows balance early, all-live times against late ones
+    step = _pool.WORKERS if xu.size * b2s.size >= _WIDE_SERIES else 1
+    _pool.run(fill, [range(r, b2s.size, step) for r in range(min(step, b2s.size))])
     return out
 
 

@@ -52,6 +52,9 @@ SMALL_STATE = {"packets": [{"center_q": 0.0, "sigma": 0.1}]}
 # a mode whose weights are all finite, but whose phase omega t overflows
 # past t = 1.8e8
 FAST_MODE = {"modes": [{"m": 1.0, "omega": 1e300, "c": 1.0}]}
+# a mode whose weights are all finite (b1's is 1e308), but whose b1 term
+# overflows once w t - sin(w t) passes 1.8, near t = 2.45
+HEAVY_MODE = {"m": 1.0, "omega": 1.0, "c": 1e154}
 GRID_OVER_CAP = {"q_min": -5.0, "q_max": 5.0, "n_points": cli._MAX_GRID_POINTS + 1}
 
 
@@ -175,6 +178,33 @@ def test_oracle_outputs_schema(tmp_path):
     data = json.loads(paths["oracle"].read_text())
     for record in data["fock"]:
         assert record["modulus_error"] < 1e-8
+
+
+def strict_json(path: Path):
+    """The JSON document at path, refusing the Infinity and NaN that json
+    writes and that no JSON parser has to read."""
+
+    def refuse(name):
+        raise ValueError(f"{path.name} holds {name}, which is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_zero_spread_mc_estimate_has_a_finite_sigma_distance(tmp_path):
+    # with this mode every sampled phase is near 1e-178: the jackknife's
+    # squared deviations once underflowed to 0, so the error bar read 0 and
+    # the oracle file held "sigma_distance": Infinity
+    cfg = preset_config("mc-validate") | {"bath": {"modes": [{"m": 1e150, "omega": 1.0, "c": 1e-100}]}}
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["validate", str(path)]) == 0
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    records = strict_json(tmp_path / "out" / "mc-validate_oracle.json")["mc"]
+    assert len(records) == 3
+    for record in records:
+        assert record["mean_im"] != record["analytic_im"]
+        assert 0.0 < record["std_error"] < 1e-170
+        assert math.isfinite(record["sigma_distance"])
 
 
 def test_deterministic_outputs(tmp_path):
@@ -458,6 +488,12 @@ def test_non_finite_numbers_rejected(tmp_path, capsys, overrides, field):
         ({"seed": -1}, "config.seed"),
         ({"seed": 2**64}, "config.seed"),
         ({"seed": 2**128}, "config.seed"),
+        # finite weights whose kernel terms, or their sum over the modes,
+        # overflow by the last time: b1's weight times w t - sin(w t)
+        ({"bath": {"modes": [HEAVY_MODE]}, "time": {"t_max": 10.0, "n_steps": 20}}, "bath.modes[0]"),
+        ({"bath": {"modes": [dict(HEAVY_MODE, c=3.5e153)] * 2}, "time": {"t_max": 10.0, "n_steps": 20}}, "bath.modes"),
+        ({"bath": {"ohmic": dict(OHMIC, eta=1e300)}, "time": {"t_max": 1e10, "n_steps": 20}}, "bath.ohmic"),
+        ({"bath": {"modes": [HEAVY_MODE]}, "oracle": {"mc": {"times": [1.0, 10.0]}}}, "bath.modes[0]"),
     ],
 )
 def test_config_errors_name_the_field_once(tmp_path, capsys, overrides, field):
@@ -472,6 +508,20 @@ def test_config_errors_name_the_field_once(tmp_path, capsys, overrides, field):
     path.write_text(json.dumps(small_config(**overrides)))
     assert main(["validate", str(path)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_kernel_overflow_is_blamed_on_the_bath_mode(tmp_path, capsys):
+    # the linear preset (t_max 10) with one mode of c 1e154: every weight is
+    # finite, but b1's term overflows once w t - sin(w t) passes 1.8; the run
+    # once failed on it, naming the coupling, while validate passed it
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps(preset_config("linear") | {"bath": {"modes": [HEAVY_MODE]}}))
+    expected = "config error: bath.modes[0]: the b1 kernel term of bath mode 0 overflows the float range"
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(expected)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(expected)
+    assert not (tmp_path / "out").exists()
 
 
 def test_seed_option_outside_its_range_exits_2(tmp_path, capsys):
@@ -788,3 +838,5 @@ def test_run_fuzz_runs_or_exits_2_or_3(cfg):
         if code == 0:
             series = (Path(tmp) / "out" / f"{cfg['name']}_series.csv").read_text()
             assert "nan" not in series and "inf" not in series
+            for written in (Path(tmp) / "out").glob("*.json"):
+                strict_json(written)
