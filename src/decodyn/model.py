@@ -81,7 +81,8 @@ class CouplingFunction:
         """[f(Qbar + dQ/2) - f(Qbar - dQ/2)] / dQ.
 
         dQ = 0 returns slope(Qbar), the continuous limit, which keeps
-        integrands well defined on the Q1 = Q2 diagonal.
+        integrands well defined on the Q1 = Q2 diagonal.  The slope is
+        evaluated at those entries alone; support pairs have none.
         """
         qb = np.asarray(qbar, dtype=float)
         d = np.asarray(dq, dtype=float)
@@ -89,8 +90,10 @@ class CouplingFunction:
         qb, d = np.broadcast_arrays(qb, d)
         diff = self._values(qb + 0.5 * d) - self._values(qb - 0.5 * d)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = diff / d
-        out = np.where(d == 0.0, self._derivative(qb), out)
+            out = np.asarray(diff / d)
+        zero = d == 0.0
+        if zero.any():
+            out[zero] = self._derivative(qb[zero])
         return _wrap(out, scalar)
 
 

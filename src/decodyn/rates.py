@@ -14,8 +14,9 @@ x = 2 (Q1-Q2)^2 g^2.  The ratio quantum/classical is independent of hbar
 and of the bath for a fixed initial matrix; it is 1 exactly for f = a*Q +
 b*Q**2, where ``strongdec`` gives both sides the slope as g.
 
-The field depends only on rho0 and f, so results are deterministic for a
-given grid.
+The field depends only on rho0 and f, so each side's sum is kept on rho0
+(``DensityMatrixGrid.integrals``) by coupling and side; a later rate_pair or
+hbar_scan on that state and coupling costs only its thermal sums.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from .bath import BathSpec, _coth, _thermal_terms, thermal_strength
 from .model import CouplingFunction
 from .states import DensityMatrixGrid, SuperpositionState, build_density_matrix
-from .strongdec import support_field
+from .strongdec import quotient_is_slope, support_field
 
 __all__ = [
     "RatePair",
@@ -63,9 +64,18 @@ class RatePair:
 
 
 def _integrals(rho0: DensityMatrixGrid, f: CouplingFunction) -> tuple[float, float]:
-    fields = (support_field(rho0, f, side) for side in ("classical", "quantum"))
-    # numpy's pairwise sum runs in an order fixed by the array alone
-    return tuple(float((w * x).sum()) for w, x, _ in fields)
+    # a coupling whose quotient is its slope has one field for both sides
+    sides = ("classical", "classical" if quotient_is_slope(f) else "quantum")
+    try:
+        memo = rho0.integrals.setdefault(f, {})
+    except TypeError:  # an unhashable coupling may change: no memo
+        memo = {}
+    for side in sides:
+        if side not in memo:
+            w, x, _ = support_field(rho0, f, side)
+            # numpy's pairwise sum runs in an order fixed by the array alone
+            memo[side] = float((w * x).sum())
+    return memo[sides[0]], memo[sides[1]]
 
 
 def _pair(integrals: tuple[float, float], cb: float, hbar: float) -> RatePair:
@@ -74,7 +84,7 @@ def _pair(integrals: tuple[float, float], cb: float, hbar: float) -> RatePair:
 
 
 def rate_pair(rho0: DensityMatrixGrid, f: CouplingFunction, cb: float, hbar: float) -> RatePair:
-    """Both rates, from the support pairs of rho0."""
+    """Both rates, from the support pairs of rho0; each side is summed once per state and coupling."""
     return _pair(_integrals(rho0, f), cb, hbar)
 
 
@@ -118,7 +128,7 @@ def hbar_scan(
     """Rates at rescaled hbar with the initial matrix held fixed.  Each rate
     scales with hbar, the ratio does not.  Each factor's thermal strength is
     summed from the bath's arrays, the same bytes as thermal_strength of the
-    bath rebuilt at that hbar."""
+    bath rebuilt at that hbar; the integrals are rho0's, summed at most once."""
     integrals = _integrals(rho0, f)
     c2, m, w = bath.couplings**2, bath.masses, bath.omegas
     out = []

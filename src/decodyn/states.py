@@ -244,6 +244,12 @@ class DensityMatrixGrid:
         """
         return self._support
 
+    @cached_property
+    def integrals(self) -> dict:
+        """Memo of floats derived from ``support()``, filled by its readers:
+        ``rates`` keeps each side's rate integral by coupling, then side."""
+        return {}
+
     def pair_count(self) -> int:
         """The number of pairs ``support()`` keeps.  A pure state counts
         them without building them, in O(m log m) over its m candidate

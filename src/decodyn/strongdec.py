@@ -139,7 +139,8 @@ def support_field(rho0: DensityMatrixGrid, f: CouplingFunction, side: str):
     """Entropy quadrature terms on the support of rho0.
 
     Returns ``(w, x, defect)``: the pair weights and purity defect of
-    ``rho0.support()`` and the exponent x = 2 (Q1-Q2)^2 g^2 of every pair.
+    ``rho0.support()`` and the exponent x = 2 (Q1-Q2)^2 g^2 of every pair,
+    evaluated on each call; ``rates`` keeps sum(w x) in ``rho0.integrals``.
     """
     dq, qbar, w, defect = rho0.support()
     _, decay = _decay(f, qbar, dq, side)

@@ -154,6 +154,29 @@ def test_quantum_integral_is_four_variances(rho0, f):
     assert float(np.dot(w, x)) == pytest.approx(oracle, rel=1e-12)
 
 
+def _pair_bytes(pairs):
+    return np.array([(p.classical_rate, p.quantum_rate, p.ratio) for p in pairs]).tobytes()
+
+
+@given(
+    rho0=cat_states(),
+    f=st.one_of(couplings, tabulated),
+    g=st.one_of(couplings, tabulated),
+    factors=st.lists(st.floats(1e-2, 1e2), min_size=1, max_size=3),
+)
+def test_a_warm_memo_gives_the_fresh_state_bytes(rho0, f, g, factors):
+    # two couplings interleaved on one state, each read by rate_pair and
+    # hbar_scan; every result must be the bytes of the same call on the
+    # state built afresh, whose memo is empty
+    def fresh():
+        return DensityMatrixGrid(grid=rho0.grid, psi=rho0.psi, hbar=rho0.hbar)
+
+    cb = thermal_strength(SINGLE)
+    for h in (f, g, f, g):
+        assert _pair_bytes([rate_pair(rho0, h, cb, 1.0)]) == _pair_bytes([rate_pair(fresh(), h, cb, 1.0)])
+        assert _pair_bytes(hbar_scan(rho0, h, SINGLE, factors)) == _pair_bytes(hbar_scan(fresh(), h, SINGLE, factors))
+
+
 def test_mixed_state_pairs_without_assuming_purity():
     grid = GridSpec(-6.0, 6.0, 160)
     q = grid.q

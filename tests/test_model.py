@@ -14,7 +14,8 @@ from decodyn.model import (
     SinusoidalCoupling,
     TabulatedCoupling,
 )
-from decodyn.strongdec import classical_factor, quantum_factor
+from decodyn.states import SuperpositionState, build_density_matrix
+from decodyn.strongdec import classical_factor, quantum_factor, support_field
 
 
 def test_model_config_validation():
@@ -77,6 +78,52 @@ def test_finite_difference_converges_quadratically():
     errs = [abs(f.finite_difference(qbar, d) - f.slope(qbar)) for d in (0.1, 0.05, 0.025)]
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.05)
+
+
+def _where_quotient(f, qbar, dq):
+    # in-test copy of the quotient as it was when it took the slope at every
+    # entry and kept it where dQ = 0 through np.where
+    qb, d = np.broadcast_arrays(np.asarray(qbar, dtype=float), np.asarray(dq, dtype=float))
+    diff = f._values(qb + 0.5 * d) - f._values(qb - 0.5 * d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = diff / d
+    return np.where(d == 0.0, f._derivative(qb), out)
+
+
+TABLE_Q = np.linspace(-4.0, 4.0, 33)
+VARIANTS = (
+    LinearCoupling(1.3),
+    QuadraticCoupling(0.7, -0.4),
+    PolynomialCoupling((0.1, -1.0, 0.5, 0.8)),
+    SinusoidalCoupling(1.2, 2.5, 0.3),
+    TabulatedCoupling(tuple(TABLE_Q), tuple(np.sin(TABLE_Q) + 0.2 * TABLE_Q)),
+)
+
+
+@pytest.mark.parametrize("f", VARIANTS, ids=lambda f: type(f).__name__)
+@given(cells=st.lists(st.tuples(st.floats(-1.5, 1.5), st.just(0.0) | st.floats(-2.0, 2.0)), max_size=40))
+def test_quotient_equals_the_where_form(f, cells):
+    # one zero and one nonzero dQ in every example; the table spans [-4, 4]
+    qbar, dq = np.array([(0.3, 0.0), (-0.2, 1.1), *cells]).T
+    assert np.array_equal(f.finite_difference(qbar, dq), _where_quotient(f, qbar, dq))
+    assert np.array_equal(f.finite_difference(0.4, dq), _where_quotient(f, 0.4, dq))
+    for q, d in ((0.3, 0.0), (-0.2, 1.1)):
+        assert f.finite_difference(q, d) == float(_where_quotient(f, q, d))
+
+
+def test_quotient_takes_no_slope_on_support_pairs():
+    slopes = []
+
+    class CountingSine(SinusoidalCoupling):
+        def _derivative(self, q):
+            slopes.append(np.size(q))
+            return super()._derivative(q)
+
+    f = CountingSine(1.0, 3.0, 0.2)
+    w, x, _ = support_field(build_density_matrix(SuperpositionState.symmetric_cat(6.0, 0.4)), f, "quantum")
+    assert x.size > 1000 and slopes == []
+    f.finite_difference(np.array([0.1, 0.2, 0.3]), np.array([0.0, 1.0, 0.0]))
+    assert slopes == [2]
 
 
 def test_bounded_coupling_bounds_weighted_difference():

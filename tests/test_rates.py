@@ -7,10 +7,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from decodyn import rates
 from decodyn.bath import BathSpec, discretize_ohmic, thermal_strength
-from decodyn.model import LinearCoupling, PolynomialCoupling, QuadraticCoupling, SinusoidalCoupling
+from decodyn.model import (
+    CouplingFunction,
+    LinearCoupling,
+    PolynomialCoupling,
+    QuadraticCoupling,
+    SinusoidalCoupling,
+)
 from decodyn.rates import hbar_scan, linear_closed_form, rate_pair, separation_scan
-from decodyn.states import GaussianPacket, SuperpositionState, build_density_matrix, position_variance
+from decodyn.states import GaussianPacket, GridSpec, SuperpositionState, build_density_matrix, position_variance
 
 SINGLE = BathSpec([1.0], [1.0], [1.0])
 CUBIC = PolynomialCoupling((0.0, 0.0, 0.0, 1.0))
@@ -170,6 +177,67 @@ def test_hbar_scan_matches_a_bath_rebuilt_per_factor(factors, beta):
     for factor, pair in zip(factors, pairs):
         scaled = dataclasses.replace(bath, hbar=bath.hbar * factor)
         assert pair == rate_pair(CAT, CUBIC, thermal_strength(scaled), scaled.hbar)
+
+
+def _count_fields(monkeypatch):
+    sides = []
+    field = rates.support_field
+
+    def counted(rho0, f, side):
+        sides.append(side)
+        return field(rho0, f, side)
+
+    monkeypatch.setattr(rates, "support_field", counted)
+    return sides
+
+
+@pytest.mark.parametrize(
+    "f, sides",
+    [
+        (CUBIC, ["classical", "quantum"]),
+        (SinusoidalCoupling(1.0, 3.0, 0.2), ["classical", "quantum"]),
+        (LinearCoupling(1.0), ["classical"]),
+        (QuadraticCoupling(0.5, 0.3), ["classical"]),
+    ],
+)
+def test_each_side_is_summed_once_per_state(monkeypatch, f, sides):
+    # a degree <= 2 coupling has one field for both sides
+    calls = _count_fields(monkeypatch)
+    rho = build_density_matrix(SuperpositionState.symmetric_cat(6.0, 0.4))
+    cb = thermal_strength(SINGLE)
+    pair = rate_pair(rho, f, cb, SINGLE.hbar)
+    assert hbar_scan(rho, f, SINGLE, [1.0, 10.0])[0] == pair
+    assert rate_pair(rho, f, cb, SINGLE.hbar) == pair
+    assert calls == sides
+
+
+@dataclasses.dataclass
+class _SettableCubic(CouplingFunction):
+    """A user coupling that dataclass equality leaves unhashable."""
+
+    a: float
+
+    def _values(self, q):
+        return PolynomialCoupling((0.0, 0.0, 0.0, self.a))._values(q)
+
+    def _derivative(self, q):
+        return PolynomialCoupling((0.0, 0.0, 0.0, self.a))._derivative(q)
+
+
+def test_an_unhashable_coupling_is_summed_on_every_call():
+    # it may change between calls, so no memo may hold its integrals
+    def fresh():
+        return build_density_matrix(SuperpositionState.symmetric_cat(4.0, 0.5), grid=GridSpec(-8.0, 8.0, 128))
+
+    f = _SettableCubic(1.0)
+    with pytest.raises(TypeError):
+        hash(f)
+    rho = fresh()
+    for a in (1.0, 2.0):
+        f.a = a
+        ref = PolynomialCoupling((0.0, 0.0, 0.0, a))
+        assert rate_pair(rho, f, 0.5, 1.0) == rate_pair(fresh(), ref, 0.5, 1.0)
+        assert hbar_scan(rho, f, SINGLE, [1.0, 3.0]) == hbar_scan(fresh(), ref, SINGLE, [1.0, 3.0])
 
 
 def test_ratio_underflow_reported_as_infinity():
