@@ -15,8 +15,10 @@ and of the bath for a fixed initial matrix; it is 1 exactly for f = a*Q +
 b*Q**2, where ``strongdec`` gives both sides the slope as g.
 
 The field depends only on rho0 and f, so each side's sum is kept on rho0
-(``DensityMatrixGrid.integrals``) by coupling and side; a later rate_pair or
-hbar_scan on that state and coupling costs only its thermal sums.
+(``DensityMatrixGrid.integrals``) by coupling and side
+(``strongdec.support_integral``, which ``entropy_series`` also fills); a
+later rate_pair or hbar_scan on that state and coupling costs only its
+thermal sums.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from .bath import BathSpec, _coth, _thermal_terms, thermal_strength
 from .model import CouplingFunction
 from .states import DensityMatrixGrid, SuperpositionState, build_density_matrix
-from .strongdec import quotient_is_slope, support_field
+from .strongdec import support_integral
 
 __all__ = [
     "RatePair",
@@ -64,18 +66,7 @@ class RatePair:
 
 
 def _integrals(rho0: DensityMatrixGrid, f: CouplingFunction) -> tuple[float, float]:
-    # a coupling whose quotient is its slope has one field for both sides
-    sides = ("classical", "classical" if quotient_is_slope(f) else "quantum")
-    try:
-        memo = rho0.integrals.setdefault(f, {})
-    except TypeError:  # an unhashable coupling may change: no memo
-        memo = {}
-    for side in sides:
-        if side not in memo:
-            w, x, _ = support_field(rho0, f, side)
-            # numpy's pairwise sum runs in an order fixed by the array alone
-            memo[side] = float((w * x).sum())
-    return memo[sides[0]], memo[sides[1]]
+    return support_integral(rho0, f, "classical"), support_integral(rho0, f, "quantum")
 
 
 def _pair(integrals: tuple[float, float], cb: float, hbar: float) -> RatePair:

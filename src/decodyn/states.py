@@ -247,7 +247,8 @@ class DensityMatrixGrid:
     @cached_property
     def integrals(self) -> dict:
         """Memo of floats derived from ``support()``, filled by its readers:
-        ``rates`` keeps each side's rate integral by coupling, then side."""
+        ``strongdec.support_integral`` keeps each side's rate integral by
+        coupling, then side, for the rates and the entropy series."""
         return {}
 
     def pair_count(self) -> int:

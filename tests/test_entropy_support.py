@@ -23,7 +23,7 @@ from decodyn.model import (
     SinusoidalCoupling,
     TabulatedCoupling,
 )
-from decodyn import _pool, states, strongdec
+from decodyn import _pool, rates, states, strongdec
 from decodyn.rates import hbar_scan, rate_pair
 from decodyn.states import DensityMatrixGrid, GaussianPacket, GridSpec, SuperpositionState, build_density_matrix
 from decodyn.cli import PRESETS, parse_config, preset_config, run_scenario
@@ -363,3 +363,182 @@ def test_each_time_has_the_same_bytes_alone_and_in_a_threaded_batch(rho0, f, bat
             batch = entropy_series(rho0, ts, f, bath, side)
             alone = [entropy_series(rho0, [t], f, bath, side)[0] for t in ts]
             assert batch.tobytes() == np.array(alone).tobytes()
+
+
+def stable_merge(w, x):
+    """The merge as a stable sort leaves it: equal exponents in index order."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    first = np.ones(xs.size, dtype=bool)
+    first[1:] = xs[1:] != xs[:-1]
+    starts = np.flatnonzero(first)
+    return xs[starts], np.add.reduceat(w[order], starts)
+
+
+def expm1_loop(rho0, ts, f, bath, side):
+    """The series before the head: every live exponent x b2 < 40 takes an
+    expm1, the dead rest adds -w."""
+    w, x, defect = support_field(rho0, f, side)
+    xu, wu = stable_merge(w, x)
+    nan = xu.size > 0 and np.isnan(xu[-1])
+    out = []
+    for b in np.atleast_1d(b2(bath, np.asarray(ts, dtype=float))).tolist():
+        k = xu.size if nan or not b > 0 else int(np.searchsorted(xu, 40.0 / b))
+        live = np.expm1(xu[:k] * -b) * wu[:k]
+        out.append(-(live.sum() - wu[k:].sum()) - defect)
+    return np.array(out)
+
+
+U = 2.0**-53
+
+
+def head_bound(rho0, f, side):
+    """The stated bound on the head's change of S (strongdec): the series'
+    remainder 1/22! and 2^-43 of rounding per unit of weight, and 6u of the
+    purity defect."""
+    w, _, defect = support_field(rho0, f, side)
+    return float(w.sum()) * (1.0 / math.factorial(22) + 2.0**-43) + 6.0 * U * abs(defect)
+
+
+@given(
+    rho0=cat_states(),
+    f=st.one_of(couplings, tabulated),
+    bath=st.sampled_from([SINGLE, OHMIC]),
+    t_max=st.floats(0.05, 8.0),
+)
+def test_head_changes_the_expm1_loop_by_at_most_its_bound(rho0, f, bath, t_max):
+    ts = np.linspace(0.0, t_max, 12)
+    for side in SIDES:
+        s = entropy_series(rho0, ts, f, bath, side)
+        assert np.max(np.abs(s - expm1_loop(rho0, ts, f, bath, side))) <= head_bound(rho0, f, side)
+
+
+@given(rho0=cat_states(), f=st.one_of(couplings, tabulated), bath=st.sampled_from([SINGLE, OHMIC]), t_max=st.floats(0.5, 8.0))
+def test_head_remainder_is_bounded_where_it_shows(rho0, f, bath, t_max):
+    # below 1 the remainder y^22/22! of a head pair is far below rounding;
+    # with the head taken up to x b2 = 6 it reaches 1.2e-4, and S must still
+    # stay within the remainder of every pair up to there, with 2^-36 of
+    # rounding per unit of weight (e^6 times that at 1)
+    ts = np.linspace(0.0, t_max, 12)
+    for side in SIDES:
+        w, x, defect = support_field(rho0, f, side)
+        old = expm1_loop(rho0, ts, f, bath, side)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(strongdec, "_HEAD_Y", 6.0)
+            s = entropy_series(rho0, ts, f, bath, side)
+        for i, b in enumerate(b2(bath, ts)):
+            y = x * b
+            inside = y <= 6.0 * (1.0 + 1e-12)  # the head's cut, rounded either way
+            remainder = math.fsum((w[inside] * y[inside] ** 22).tolist()) / math.factorial(22)
+            assert abs(s[i] - old[i]) <= remainder + float(w.sum()) * 2.0**-36 + 6.0 * U * abs(defect)
+
+
+def test_head_edge_cases_against_the_expm1_loop():
+    rho0 = build_density_matrix(SuperpositionState.symmetric_cat(8.0, 0.2))
+    cubic = PolynomialCoupling((0.0, 0.0, 0.0, 1.0))
+    ts = np.linspace(0.0, 3.0, 9)
+    # b2 = 0 at t = 0: S = -defect exactly, as before
+    for side in SIDES:
+        assert entropy_series(rho0, [0.0], cubic, SINGLE, side)[0] == expm1_loop(rho0, [0.0], cubic, SINGLE, side)[0]
+    # a subnormal b2 (2.5e-321) puts every block in the head, without an
+    # overflow error where run_scenario raises on one
+    tiny = [1e-160]
+    assert 0.0 < b2(SINGLE, tiny)[0] < np.finfo(float).tiny
+    with np.errstate(over="raise", invalid="raise"):
+        for side in SIDES:
+            s = entropy_series(rho0, tiny, cubic, SINGLE, side)
+            assert abs(s[0] - expm1_loop(rho0, tiny, cubic, SINGLE, side)[0]) <= head_bound(rho0, cubic, side)
+    # a NaN exponent: NaN at every time on that side, the other side as before
+    _, qbar, _, _ = rho0.support()
+    nan_at = NanSlopeAt(float(qbar[qbar.size // 2]))
+    assert np.all(np.isnan(entropy_series(rho0, ts, nan_at, SINGLE, "classical")))
+    quantum = entropy_series(rho0, ts, nan_at, SINGLE, "quantum")
+    assert np.max(np.abs(quantum - expm1_loop(rho0, ts, nan_at, SINGLE, "quantum"))) <= head_bound(rho0, nan_at, "quantum")
+    # exponents up to 1e17, whose 21st powers overflow: those blocks stay out
+    # of the head at every time
+    steep = PolynomialCoupling((0.0, 0.0, 0.0, 1e6))
+    _, x, _ = support_field(rho0, steep, "quantum")
+    assert np.max(x) > 1e308 ** (1.0 / 21.0)
+    for t in (np.logspace(-12.0, 0.0, 13), ts):
+        for side in SIDES:
+            s = entropy_series(rho0, t, steep, SINGLE, side)
+            assert np.all(np.isfinite(s))
+            assert np.max(np.abs(s - expm1_loop(rho0, t, steep, SINGLE, side))) <= head_bound(rho0, steep, side)
+
+
+def test_fewer_exponents_than_a_block_keep_the_loop_bytes():
+    rho0 = build_density_matrix(SuperpositionState.symmetric_cat(4.0, 0.5), grid=GridSpec(-8.0, 8.0, 24))
+    f = SinusoidalCoupling(1.0, 3.0, 0.2)
+    ts = np.linspace(0.0, 5.0, 11)
+    for side in SIDES:
+        assert support_field(rho0, f, side)[0].size < strongdec._HEAD_BLOCK
+        assert entropy_series(rho0, ts, f, OHMIC, side).tobytes() == expm1_loop(rho0, ts, f, OHMIC, side).tobytes()
+
+
+def _ties(x):
+    """The longest run of one value in x."""
+    xs = np.sort(x)
+    first = np.ones(xs.size, dtype=bool)
+    first[1:] = xs[1:] != xs[:-1]
+    return int(np.max(np.diff(np.flatnonzero(first), append=xs.size)))
+
+
+@pytest.mark.parametrize(
+    "f, side, ties",
+    [
+        (SinusoidalCoupling(1.0, 8.0, 0.7), "quantum", 1),
+        (QuadraticCoupling(1.0, 0.3), "classical", 2),
+        (PolynomialCoupling((0.0, 0.0, 0.0, 1.0)), "quantum", 2),
+        (PolynomialCoupling((0.0, 0.0, 0.0, 1.0)), "classical", 71),
+        (LinearCoupling(1.0), "classical", 400),
+    ],
+)
+def test_merge_gives_the_stable_merge_bytes(f, side, ties):
+    # no ties, pairs (mirror midpoints of a symmetric cat), and runs (the
+    # linear exponent depends on Q1-Q2 alone, the cubic slope on Qbar^2)
+    rho0 = build_density_matrix(SuperpositionState.symmetric_cat(8.0, 0.2))
+    w, x, _ = support_field(rho0, f, side)
+    assert _ties(x) == ties
+    for got, want in zip(strongdec._merged(w, x), stable_merge(w, x)):
+        assert got.tobytes() == want.tobytes()
+
+
+@given(
+    x=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, math.nan]) | st.floats(0.0, 10.0), max_size=300),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_merge_gives_the_stable_merge_bytes_on_any_field(x, seed):
+    x = np.asarray(x, dtype=float)
+    w = np.random.default_rng(seed).random(x.size)
+    xu, wu = strongdec._merged(w, x)
+    want_x, want_w = stable_merge(w, x)
+    finite = ~np.isnan(want_x)
+    # NaN exponents stay apart, one entry each, in either order
+    assert xu.tobytes() == want_x.tobytes()
+    assert wu[finite].tobytes() == want_w[finite].tobytes()
+    assert sorted(wu[~finite].tolist()) == sorted(want_w[~finite].tolist())
+
+
+def test_each_side_field_is_evaluated_once_per_run(monkeypatch, tmp_path):
+    # the entropy fills the rate memo, so an hbar scan after the series
+    # reads it; each state built in a run evaluates each side's field once
+    for name in PRESETS:
+        calls = []
+        field = strongdec.support_field
+
+        def counted(rho0, f, side):
+            calls.append((rho0, side))
+            return field(rho0, f, side)
+
+        # wherever the field is read from
+        for module in (strongdec, rates):
+            if hasattr(module, "support_field"):
+                monkeypatch.setattr(module, "support_field", counted)
+        run_scenario(name, out_dir=tmp_path / name)
+        monkeypatch.undo()
+        f = parse_config(preset_config(name)).coupling
+        sides = ["classical"] if strongdec.quotient_is_slope(f) else ["classical", "quantum"]
+        states_seen = {id(rho0): rho0 for rho0, _ in calls}
+        assert states_seen, name
+        for key in states_seen:
+            assert sorted(side for rho0, side in calls if id(rho0) == key) == sides, name

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from decodyn import rates
+from decodyn import strongdec
 from decodyn.bath import BathSpec, discretize_ohmic, thermal_strength
 from decodyn.model import (
     CouplingFunction,
@@ -181,13 +181,13 @@ def test_hbar_scan_matches_a_bath_rebuilt_per_factor(factors, beta):
 
 def _count_fields(monkeypatch):
     sides = []
-    field = rates.support_field
+    field = strongdec.support_field
 
     def counted(rho0, f, side):
         sides.append(side)
         return field(rho0, f, side)
 
-    monkeypatch.setattr(rates, "support_field", counted)
+    monkeypatch.setattr(strongdec, "support_field", counted)
     return sides
 
 
