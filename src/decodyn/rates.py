@@ -97,8 +97,8 @@ def separation_scan(
     separation.  Packet width must stay well below the smallest separation
     so the packets are distinguishable."""
     seps = [float(s) for s in separations]
-    if any(b <= a for a, b in zip(seps, seps[1:])):
-        raise ValueError("separations must be strictly increasing")
+    if not seps or not seps[0] > 0 or any(not b > a for a, b in zip(seps, seps[1:])):
+        raise ValueError(f"separations must be positive and strictly increasing, got {seps}")
     if not sigma < 0.5 * seps[0]:
         raise ValueError(f"sigma={sigma} too wide for smallest separation {seps[0]}")
     cb = thermal_strength(bath)
@@ -123,8 +123,10 @@ def hbar_scan(
     integrals = _integrals(rho0, f)
     c2, m, w = bath.couplings**2, bath.masses, bath.omegas
     out = []
-    for factor in hbar_factors:
+    for i, factor in enumerate(hbar_factors):
         hbar = bath.hbar * float(factor)
+        if not 0 < hbar < math.inf:
+            raise ValueError(f"hbar_factors[{i}]: hbar * factor must be positive and finite, got {hbar}")
         cb = float(np.sum(_thermal_terms(c2, m, w, _coth(bath.beta, hbar, w))))
         out.append(_pair(integrals, cb, hbar))
     return out

@@ -770,9 +770,16 @@ def test_list_caps_parse_only(tmp_path, capsys, field, make):
 
 
 # the run fuzz's sizes: at most 3 explicit modes or 12 Ohmic ones, 2
-# packets of width at least 0.05 within 5 of the origin, 12 times, 2 oracle
+# packets of width at least 0.25 within 5 of the origin, 12 times, 2 oracle
 # or scan entries, 1000 MC samples and 16 Fock levels; the coefficients reach
-# 1e300 either way, and the seeds step past both ends of [0, 2^64)
+# 1e300 either way, and the seeds step past both ends of [0, 2^64).
+# Hypothesis seeds its draws with the numeric literals of the loaded
+# modules, so any change to one redraws the configs; the width floor keeps
+# every automatic grid at most 2048 points (a span of at most 48 at a
+# spacing of at least 0.25/8), so no redraw builds a state of millions of
+# pairs.
+# The pair budget's edges are covered by test_pair_budget_parse_only and
+# test_fine_grid_refused_by_its_pair_count.
 FUZZ_COEFFICIENTS = st.floats(-1e300, 1e300)
 FUZZ_TIMES = st.lists(st.floats(0.0, 3.0), min_size=1, max_size=2)
 
@@ -795,7 +802,7 @@ def run_configs(draw):
             ),
         )
     )
-    packet = st.fixed_dictionaries({"center_q": st.floats(-5.0, 5.0), "sigma": st.floats(0.05, 2.0)})
+    packet = st.fixed_dictionaries({"center_q": st.floats(-5.0, 5.0), "sigma": st.floats(0.25, 2.0)})
     cfg = {
         "name": "fuzz",
         "model": {"hbar": draw(st.floats(0.1, 10.0)), "beta": draw(st.one_of(st.none(), st.floats(0.1, 10.0)))},

@@ -365,21 +365,28 @@ def test_each_time_has_the_same_bytes_alone_and_in_a_threaded_batch(rho0, f, bat
             assert batch.tobytes() == np.array(alone).tobytes()
 
 
-def stable_merge(w, x):
-    """The merge as a stable sort leaves it: equal exponents in index order."""
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
+def index_order_merge(w, x):
+    """The merge's contract: the distinct x in ascending order, each group's
+    weights added in index order by a plain loop, and every NaN exponent in
+    one last entry.  Round k adds each group's k-th weight to its total."""
+    order = np.argsort(x, kind="stable")  # index order within each group
+    xs, ws = x[order], w[order]
     first = np.ones(xs.size, dtype=bool)
-    first[1:] = xs[1:] != xs[:-1]
+    first[1:] = (xs[1:] != xs[:-1]) & ~(np.isnan(xs[1:]) & np.isnan(xs[:-1]))
     starts = np.flatnonzero(first)
-    return xs[starts], np.add.reduceat(w[order], starts)
+    sizes = np.diff(starts, append=xs.size)
+    totals = np.zeros(starts.size)
+    for k in range(int(sizes.max(initial=0))):
+        has = sizes > k
+        totals[has] += ws[starts[has] + k]
+    return xs[starts], totals
 
 
 def expm1_loop(rho0, ts, f, bath, side):
     """The series before the head: every live exponent x b2 < 40 takes an
     expm1, the dead rest adds -w."""
     w, x, defect = support_field(rho0, f, side)
-    xu, wu = stable_merge(w, x)
+    xu, wu = index_order_merge(w, x)
     nan = xu.size > 0 and np.isnan(xu[-1])
     out = []
     for b in np.atleast_1d(b2(bath, np.asarray(ts, dtype=float))).tolist():
@@ -495,11 +502,12 @@ def _ties(x):
 )
 def test_merge_gives_the_stable_merge_bytes(f, side, ties):
     # no ties, pairs (mirror midpoints of a symmetric cat), and runs (the
-    # linear exponent depends on Q1-Q2 alone, the cubic slope on Qbar^2)
+    # linear exponent depends on Q1-Q2 alone, the cubic slope on Qbar^2);
+    # each run's weights add in index order, as a stable merge keeps them
     rho0 = build_density_matrix(SuperpositionState.symmetric_cat(8.0, 0.2))
     w, x, _ = support_field(rho0, f, side)
     assert _ties(x) == ties
-    for got, want in zip(strongdec._merged(w, x), stable_merge(w, x)):
+    for got, want in zip(strongdec._merged(w, x), index_order_merge(w, x)):
         assert got.tobytes() == want.tobytes()
 
 
@@ -510,13 +518,37 @@ def test_merge_gives_the_stable_merge_bytes(f, side, ties):
 def test_merge_gives_the_stable_merge_bytes_on_any_field(x, seed):
     x = np.asarray(x, dtype=float)
     w = np.random.default_rng(seed).random(x.size)
-    xu, wu = strongdec._merged(w, x)
-    want_x, want_w = stable_merge(w, x)
-    finite = ~np.isnan(want_x)
-    # NaN exponents stay apart, one entry each, in either order
-    assert xu.tobytes() == want_x.tobytes()
-    assert wu[finite].tobytes() == want_w[finite].tobytes()
-    assert sorted(wu[~finite].tolist()) == sorted(want_w[~finite].tolist())
+    for got, want in zip(strongdec._merged(w, x), index_order_merge(w, x)):
+        assert got.tobytes() == want.tobytes()
+
+
+def pairwise_merge(w, x):
+    """A merge in another order: numpy's pairwise add.reduceat of the
+    stably sorted field, which adds each group's first weight to the sum of
+    the rest."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    first = np.ones(xs.size, dtype=bool)
+    first[1:] = xs[1:] != xs[:-1]
+    starts = np.flatnonzero(first)
+    return xs[starts], np.add.reduceat(w[order], starts)
+
+
+@pytest.mark.parametrize("f", [LinearCoupling(1.0), PolynomialCoupling((0.0, 0.0, 0.0, 1.0))])
+@pytest.mark.parametrize("separation, sigma", [(8.0, 0.2), (3.0, 0.5)])
+def test_merge_order_moves_s_by_at_most_its_bound(separation, sigma, f):
+    # the stated bound between two orders of adding each group (strongdec):
+    # W (2 (m - 1) u + 2^-42) + 12u |defect|, m the largest group
+    rho0 = build_density_matrix(SuperpositionState.symmetric_cat(separation, sigma))
+    ts = np.linspace(0.0, 8.0, 17)
+    for side in SIDES:
+        w, x, defect = support_field(rho0, f, side)
+        bound = float(w.sum()) * (2 * (_ties(x) - 1) * U + 2.0**-42) + 12.0 * U * abs(defect)
+        s = entropy_series(rho0, ts, f, OHMIC, side)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(strongdec, "_merged", pairwise_merge)
+            other = entropy_series(rho0, ts, f, OHMIC, side)
+        assert np.max(np.abs(s - other)) <= bound
 
 
 def test_each_side_field_is_evaluated_once_per_run(monkeypatch, tmp_path):

@@ -149,6 +149,10 @@ def test_separation_scan_validation():
     f = SinusoidalCoupling(1.0, 1.0, 0.0)
     with pytest.raises(ValueError, match="increasing"):
         separation_scan(f, [4.0, 2.0], sigma=0.3, bath=SINGLE)
+    # the separations are checked before sigma, as the CLI states the rule
+    for seps in ([], [-1.0, 2.0], [0.0, 2.0], [math.nan, 2.0], [2.0, math.nan]):
+        with pytest.raises(ValueError, match="separations must be positive and strictly increasing"):
+            separation_scan(f, seps, sigma=0.2, bath=SINGLE)
     with pytest.raises(ValueError, match="sigma"):
         separation_scan(f, [2.0, 4.0], sigma=1.5, bath=SINGLE)
 
@@ -163,6 +167,14 @@ def test_hbar_scan_ratio_invariant():
 
 
 CAT = build_density_matrix(SuperpositionState.symmetric_cat(8.0, 0.2))
+
+
+@pytest.mark.parametrize("factor", [-1.0, 0.0, math.nan, math.inf])
+def test_hbar_scan_refuses_a_factor_without_a_positive_finite_hbar(factor):
+    # a negative factor gave negative rates, zero divided by zero, NaN gave
+    # NaN rates and inf zero rates, all but zero without an error
+    with pytest.raises(ValueError, match=r"hbar_factors\[1\]"):
+        hbar_scan(CAT, CUBIC, SINGLE, [1.0, factor])
 
 
 @given(
