@@ -6,7 +6,7 @@ function of the package, so a caller-side wrapper that keeps one stack of
 active calls per process (a tracer, say) sees only the calling thread, and
 no task submits to the pool.  Every caller splits its work so the bytes of
 the result do not depend on the thread count.  The callers are
-bath.thermal_sample_block, strongdec.entropy_series and the Wigner pair.
+bath.thermal_sample_block and the Wigner pair.
 """
 
 from __future__ import annotations

@@ -36,50 +36,83 @@ gives the quantum side the slope and the entropy is evaluated once.
 sorts the distinct x and ``np.bincount`` adds each one's weights in index
 order, whatever order the sort leaves them in, so the bytes do not depend
 on the sort; a linear coupling has about a thousand distinct x among 1e5
-pairs, and all NaN exponents merge into one last entry.  At each time the
-sorted exponents split in three:
+pairs, and all NaN exponents merge into one last entry.  Once per call,
+and from the field alone, the sorted exponents split into anchored blocks:
+a block ends at every 256th exponent, so each head below ends where a block
+starts, and at every bin of ratio 1 + 1/41, so its span is at most 1/40 of
+its first exponent c; an exponent past 1e14 is a block of its own.  At each
+time with 0 < b2 <= 1e14 the exponents split in three:
 
 * the head, whole blocks of 256 exponents with x b2 <= 1, is summed as
   sum_{j=1}^{21} (-b2)^j/j! M_j from the blocks' prefix moments
   M_j = sum w x^j, a table built once per call from the field alone;
-* the live rest, x b2 < 40, takes an expm1 per exponent;
-* the dead tail adds minus its summed weight: past 40, expm1(-x b2) is -1
-  to within e^-40 = 4.2e-18, which moves S(t) by at most 4.3e-18.
+* each live anchored block past the head, c b2 < 40, adds
+  expm1(-c b2) (W + Q) + Q, with W its weight and
+  Q = sum w expm1(-(x - c) b2) = sum_{j=1}^{21} (-b2)^j m_j/j! from its
+  anchored moments m_j = sum w (x - c)^j by Horner's rule, over every
+  (time, block) pair at once; (x - c) b2 <= c b2/40 < 1 there;
+* each dead block, c b2 >= 40, adds minus its weight, read from one suffix
+  sum of the block weights: past 40, expm1(-x b2) is -1 to within
+  e^-40 = 4.2e-18, which moves S(t) by at most 4.3e-18.
 
-Neither an exponent nor b2 above 1e14 enters the head, so no x^21 or b2^21
-overflows; b2 = 0 has no head, so S = -defect exactly, and a NaN exponent
-sorts last, outside the head, and keeps S NaN.
+Each time adds its block terms, its head and its dead weight in extended
+precision (x86-64's 80-bit long double, unit v = 2^-64) and rounds once.
+A field of fewer than 256 exponents, a field with a NaN exponent and a time
+with b2 outside (0, 1e14] take one expm1 per live exponent instead, the
+rest adding minus their summed weight, as before: b2 = 0 gives
+S = -defect exactly and a NaN exponent keeps S NaN.  Neither an exponent
+nor b2 above 1e14 enters a moment, so no x^21, (x - c)^21 or b2^21
+overflows (a 1e100 Q^3 coupling reaches x = 7e205; its moments are those
+of one-exponent blocks, zero).
 
-The head's bound, with u = 2^-53, y = x b2 <= 1 and W_h the head's weight:
-the alternating series stops with a remainder of at most y^22/22! <= 8.9e-22
-per unit weight.  To first order in u, w x^j takes j roundings, a block's
-sum at most 255, the prefix one (it runs in extended precision, adding at
-most 2^-64 per block, 32u at the 2^16 blocks of 2^24 pairs) and Horner's
-rule at most 3j on the term of power j, so the head is within
-W_h [1/22! + (4e + 288 (e - 1)) u] <= W_h (1/22! + 2^-44) of the exact
-sum of w expm1(-x b2) over its pairs.  The loop it replaces, and the live
-rest, each carry at most 48u W of their own (x b2, expm1 and the product,
-4u a pair; numpy's pairwise sum, at most 44 additions deep for 2^24
-pairs), and three final roundings add 6u (W + |defect|), so against the
-loop S(t) moves by at most W (1/22! + 2^-43) + 6u |defect|, about 1.1e-13.
-On the eight presets' series it moved by at most 2.2e-16 (4.4e-16
-relative), and stayed within 2.2e-16 of a math.fsum over every pair.
+The bound, with u = 2^-53, y = x b2 <= 1 in the head and
+y = (x - c) b2 < 40/41 in an anchored block, to first order in u.  The
+head: the alternating series stops with a remainder of at most
+y^22/22! <= 8.9e-22 per unit weight; w x^j takes j roundings, a block's sum
+at most 255, the prefix one (in extended precision, adding at most v per
+block, 32u at the 2^16 blocks of 2^24 pairs) and Horner's rule at most 3j
+on the term of power j, so the head is within
+W_h [1/22! + (4e + 288 (e - 1)) u] <= W_h (1/22! + 2^-44) of the exact sum
+of w expm1(-x b2) over its pairs, W_h its weight.  An anchored block: the
+series' remainder enters its term times 1 + expm1(-c b2) = e^(-c b2), and
+y <= c b2/41, so it is at most (22/41)^22 e^-22/22! = 2.8e-37 per unit
+weight.  x - c is exact (c <= x <= 2c, Sterbenz), w (x - c)^j takes j
+roundings, a block's sum at most 255 and the division by j! one, and
+Horner's rule at most 2j on the term of power j, so Q is within
+(3e + 256 (e - 1)) u W <= 449u W of its series; with W's own 255u, 3u for
+c b2 and expm1 and 3u for the term, a live block is within
+W (1/22! + 710u) of the exact sum over its pairs, and a dead one within
+W (e^-40 + 255u).  A time's sum of at most N block terms (N the number of
+blocks, at most the number of distinct exponents), its head and the suffix
+sum of at most N weights add at most (N + 1) 2^-63 W; the rounding to a
+double and the final subtraction add 2u W + u |defect|.  The per-exponent
+loop carries at most 48u W of its own (x b2, expm1 and the product, 4u a
+pair; numpy's pairwise sum, at most 44 additions deep for 2^24 pairs) and
+three final roundings, so against it S(t) moves by at most
+W (1/22! + 2^-43 + N 2^-62) + 6u |defect|, about 1.1e-13 on the presets
+(N <= 1607).
+A rounding lost to underflow moves a term by at most 2^-1075 b2^21
+<= 2.5e-30.  On the eight presets' series S(t) moved by at most 2.2e-16
+against the head-and-loop sums it replaces (3.8e-16 relative), and it stays
+within 2.2e-16 of a math.fsum over every pair.
 
 The merge's bound, with m the largest group of equal exponents: any order
 of adding a group's nonnegative weights is within (m - 1)u of their sum W_g
 to first order in u, so the index order and any other (numpy's pairwise
 add.reduceat of a sorted field, say) differ by at most 2 (m - 1)u W_g.
-Each merged weight enters S with a factor in [-1, 0] (expm1 in the live
-rest, -1 in the dead tail, the head's alternating partial sums in [-y, 0]),
-and on either set of weights the series' own rounding (the head's
-W_h 2^-44, the live rest's 48u W and the final 6u (W + |defect|)) is at most
-W 2^-43 + 6u |defect|, so between two orders S(t) moves by at most
-W (2 (m - 1)u + 2^-42) + 12u |defect|, 2.9e-13 on the linear preset's
-m = 295.  Against the pairwise reduceat, the presets' series moved by at
-most 1.1e-16, and only where m >= 131.
+Each merged weight enters S with a factor in [-1, 0] (expm1 for one
+exponent, e^(-c b2) (1 + expm1(-(x - c) b2)) - 1 in an anchored block, -1
+in a dead one, the head's alternating partial sums in [-y, 0]), and on
+either set of weights the series' own rounding (W 710u, the sums'
+(N + 1) 2^-63 W and the final 2u W + u |defect|) is at most
+W (2^-43 + N 2^-62) + u |defect|, so between two orders S(t) moves by at
+most W (2 (m - 1)u + 2^-42 + N 2^-61) + 12u |defect|, 2.9e-13 on the
+linear preset's m = 295.  Against the pairwise reduceat, the presets'
+series moved by at most 1.1e-16, and only where m >= 131.
 
-Every sum runs in an order fixed by the arrays alone and no sum uses BLAS;
-a long series splits its times over the package's one thread pool, so S(t)
+Every sum runs in an order fixed by its own arrays and none uses BLAS or a
+thread: a block's moments and weight depend on its exponents alone, the
+suffix sum on the field alone, and a time's sum on its own blocks, so S(t)
 has the same bytes at any core count and whether t is evaluated alone or in
 a batch.
 """
@@ -90,7 +123,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _pool
 from .bath import BathSpec, b1, b2, b2_dot
 from .model import CouplingFunction, PolynomialCoupling
 from .states import DensityMatrixGrid
@@ -109,11 +141,6 @@ __all__ = [
 # pair adds -w without an expm1.  The weights sum to at most 1, so this moves
 # S(t) by at most 4.3e-18, below the 1e-17 of weight the support drops.
 _DEAD = 40.0
-# A series of at least this many distinct exponents times times is split
-# over the shared pool.  On 2 cores, 2e6 broke even and the threads took
-# 0.65-0.72 of the serial time on the 1.1e7 to 2e7 of the n = 512 and 1024
-# cats; smaller series spend more on the hand-off than they save.
-_WIDE_SERIES = 1 << 21
 # The head (module docstring): blocks of _HEAD_BLOCK sorted exponents with
 # x b2 <= _HEAD_Y, summed from _HEAD_TERMS moments; past _HEAD_LIMIT neither
 # an exponent nor b2 joins it.  Below 1e14 no x^21 or b2^21 overflows, and a
@@ -124,6 +151,14 @@ _HEAD_BLOCK = 256
 _HEAD_LIMIT = 1e14
 # blocks per pass of the moment table's build
 _MOMENT_CHUNK = 64
+# An anchored block (module docstring) ends at each bin of ratio 1 + 1/41
+# of the exponents, bin floor(log(x) _PER_LOG), so while c b2 < _DEAD for its
+# first exponent c, its span times b2 is below 40/41.
+_PER_LOG = 1.0 / np.log1p(1.0 / 41.0)
+# j! for j = 1.._HEAD_TERMS, each exact
+_FACTORIALS = np.cumprod(np.arange(1.0, _HEAD_TERMS + 1))
+# (time, block) pairs per pass of the block sums
+_PAIR_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -264,6 +299,90 @@ def _head(xu, wu, b2s):
     return blocks * _HEAD_BLOCK, sums
 
 
+def _blocks(xu) -> np.ndarray:
+    """The start of every block of the sorted exponents xu, then xu.size.
+
+    A block ends at every _HEAD_BLOCK-th exponent, so every head's end starts
+    one, and at every bin of ratio 1 + 1/41, so its span is at most 1/40 of
+    its first exponent (a rounded log moves a bin's edge by far less than
+    the margin); an exponent past _HEAD_LIMIT is a block of its own.
+    """
+    end = int(np.searchsorted(xu, _HEAD_LIMIT, side="right"))
+    with np.errstate(divide="ignore"):  # log(0) = -inf: a bin of its own
+        bins = np.floor(np.log(xu[:end]) * _PER_LOG)
+    first = np.ones(xu.size + 1, dtype=bool)
+    np.not_equal(bins[1:], bins[:-1], out=first[1:end])
+    first[::_HEAD_BLOCK] = True
+    return np.flatnonzero(first)
+
+
+def _anchored_moments(xu, wu, starts) -> np.ndarray:
+    """Row j holds sum w (x - c)^(j+1)/(j+1)! over each block, c its first
+    exponent; each column depends on its block alone."""
+    a, b = starts[0], starts[-1]
+    # exact: within a block c <= x <= 2c (Sterbenz)
+    d = xu[a:b] - np.repeat(xu[starts[:-1]], np.diff(starts))
+    p = wu[a:b].copy()
+    table = np.empty((_HEAD_TERMS, starts.size - 1))
+    for j in range(_HEAD_TERMS):
+        p *= d  # w (x - c)^(j+1)
+        # each block's sum, in an order fixed by the block alone
+        np.add.reduceat(p, starts[:-1] - a, out=table[j])
+        table[j] /= _FACTORIALS[j]
+    return table
+
+
+def _block_sums(xu, wu, b2s):
+    """Per time, with 0 < b2 <= _HEAD_LIMIT, the sum of w expm1(-x b2) over
+    every exponent: the head from its prefix moments, each live block from
+    its anchored moments and each dead block as minus its weight."""
+    starts = _blocks(xu)
+    ends, heads = _head(xu, wu, b2s)
+    # every head ends where a block starts
+    lo = np.searchsorted(starts, ends)
+    with np.errstate(over="ignore"):  # a subnormal b2 cuts at inf
+        hi = np.searchsorted(xu[starts[:-1]], _DEAD / b2s)
+    weights = np.add.reduceat(wu, starts[:-1])
+    # dead[k]: the weight of blocks k.., added in extended precision from the last
+    dead = np.zeros(starts.size, dtype=np.longdouble)
+    np.cumsum(weights[::-1], dtype=np.longdouble, out=dead[-2::-1])
+    sums = np.zeros(b2s.size, dtype=np.longdouble)
+    counts = hi - lo
+    if counts.any():
+        first, last = int(lo[counts > 0].min()), int(hi[counts > 0].max())
+        moments = _anchored_moments(xu, wu, starts[first : last + 1])
+        anchors, weights = xu[starts[first:last]], weights[first:last]
+        # times in chunks of about _PAIR_CHUNK (time, block) pairs
+        offsets = np.cumsum(counts) - counts
+        chunks = np.flatnonzero(np.diff(offsets // _PAIR_CHUNK, prepend=-1))
+        for t0, t1 in zip(chunks, [*chunks[1:], b2s.size]):
+            n = counts[t0:t1]
+            at = offsets[t0:t1] - offsets[t0]
+            blk = np.arange(int(n.sum())) + np.repeat(lo[t0:t1] - first - at, n)
+            b = np.repeat(b2s[t0:t1], n)
+            # Horner's rule: Q = sum_j (-b)^j a_j = -b (a_1 - b (a_2 - b (...)))
+            q = moments[-1].take(blk)
+            for j in range(_HEAD_TERMS - 2, -1, -1):
+                q *= b
+                np.subtract(moments[j].take(blk), q, out=q)
+            q *= -b
+            # sum w expm1(-x b) = expm1(-c b) (W + Q) + Q over a block
+            e = np.expm1(-(anchors.take(blk) * b))
+            term = e * (weights.take(blk) + q) + q
+            nz = np.flatnonzero(n)
+            sums[t0 + nz] = np.add.reduceat(term, at[nz], dtype=np.longdouble)
+    return (sums + heads - dead[hi]).astype(float)
+
+
+def _loop_sum(xu, wu, b: float, nan: bool) -> float:
+    """The sum of w expm1(-x b) with one expm1 per live exponent."""
+    # a Python float: a subnormal b2 cuts at inf, with no overflow error
+    k = xu.size if nan or not b > 0 else int(np.searchsorted(xu, _DEAD / b))
+    live = np.expm1(xu[:k] * -b) * wu[:k]
+    # each dead pair adds -w in place of its expm1 w
+    return live.sum() - wu[k:].sum()
+
+
 def entropy_series(rho0: DensityMatrixGrid, times, f: CouplingFunction, bath: BathSpec, side: str) -> np.ndarray:
     """Linear entropy S(t) = 1 - sum w exp(-x b2(t)) over the state's
     support field.
@@ -271,9 +390,10 @@ def entropy_series(rho0: DensityMatrixGrid, times, f: CouplingFunction, bath: Ba
     Evaluated through expm1 so the quadratic small-time growth keeps full
     relative accuracy, with the quadrature purity defect subtracted to pin
     S(0) = 0 exactly for pure states.  Pairs of equal x are merged; at each
-    time the head blocks x b2 <= _HEAD_Y are summed from their moments, and
-    only the live rest x b2 < _DEAD takes an expm1.  Fills the rate memo
-    (``support_integral``) on the way.
+    time the head blocks x b2 <= _HEAD_Y are summed from their prefix
+    moments, each live block from its anchored moments, and each dead block
+    adds minus its weight.  Fills the rate memo (``support_integral``) on
+    the way.
     """
     w, x, defect = support_field(rho0, f, side)
     support_integral(rho0, f, side, (w, x))
@@ -281,28 +401,15 @@ def entropy_series(rho0: DensityMatrixGrid, times, f: CouplingFunction, bath: Ba
     # a NaN exponent sorts last, where the cut would count it as dead
     nan = xu.size > 0 and np.isnan(xu[-1])
     b2s = np.atleast_1d(np.asarray(b2(bath, np.asarray(times, dtype=float))))
-    starts, heads = _head(xu, wu, b2s)
-    out = np.empty(b2s.shape)
-
-    def fill(rows: range) -> None:
-        buf = np.empty(xu.size)
-        for i in rows:
-            # a Python float: a subnormal b2 cuts at inf, with no overflow error
-            b = float(b2s[i])
-            h = int(starts[i])
-            k = xu.size if nan or not b > 0 else int(np.searchsorted(xu, _DEAD / b))
-            live = buf[: k - h]
-            np.multiply(xu[h:k], -b, out=live)
-            np.expm1(live, out=live)
-            live *= wu[h:k]
-            # each dead pair adds -w in place of its expm1 w
-            total = live.sum() - wu[k:].sum()
-            out[i] = -(total + heads[i] if h else total) - defect
-
-    # interleaved rows balance early, all-live times against late ones
-    step = _pool.WORKERS if xu.size * b2s.size >= _WIDE_SERIES else 1
-    _pool.run(fill, [range(r, b2s.size, step) for r in range(min(step, b2s.size))])
-    return out
+    # fewer exponents than a block, a NaN exponent and a b2 outside
+    # (0, _HEAD_LIMIT] take an expm1 per live exponent
+    blocked = (b2s > 0.0) & (b2s <= _HEAD_LIMIT) & (xu.size >= _HEAD_BLOCK) & (not nan)
+    totals = np.empty(b2s.shape)
+    for i in np.flatnonzero(~blocked):
+        totals[i] = _loop_sum(xu, wu, float(b2s[i]), nan)
+    if blocked.any():
+        totals[blocked] = _block_sums(xu, wu, b2s[blocked])
+    return -totals - defect
 
 
 # (CSV column, DecoherenceSeries field), in column order

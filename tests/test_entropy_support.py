@@ -8,6 +8,7 @@ pure state is paired from its 1-D support; the same matrix given as
 ``values`` takes the n x n path, and both must agree.
 """
 
+import json
 import math
 
 import numpy as np
@@ -26,7 +27,7 @@ from decodyn.model import (
 from decodyn import _pool, rates, states, strongdec
 from decodyn.rates import hbar_scan, rate_pair
 from decodyn.states import DensityMatrixGrid, GaussianPacket, GridSpec, SuperpositionState, build_density_matrix
-from decodyn.cli import PRESETS, parse_config, preset_config, run_scenario
+from decodyn.cli import PRESETS, main, parse_config, preset_config, run_scenario
 from decodyn.strongdec import compute_series, entropy_series, support_field
 
 SINGLE = BathSpec([1.0], [1.0], [1.0])
@@ -358,7 +359,6 @@ def test_each_time_has_the_same_bytes_alone_and_in_a_threaded_batch(rho0, f, bat
     ts = np.linspace(0.0, t_max, 7)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_pool, "WORKERS", 3)
-        mp.setattr(strongdec, "_WIDE_SERIES", 0)
         for side in SIDES:
             batch = entropy_series(rho0, ts, f, bath, side)
             alone = [entropy_series(rho0, [t], f, bath, side)[0] for t in ts]
@@ -480,6 +480,81 @@ def test_fewer_exponents_than_a_block_keep_the_loop_bytes():
     for side in SIDES:
         assert support_field(rho0, f, side)[0].size < strongdec._HEAD_BLOCK
         assert entropy_series(rho0, ts, f, OHMIC, side).tobytes() == expm1_loop(rho0, ts, f, OHMIC, side).tobytes()
+
+
+def block_bound(rho0, f, side):
+    """The stated bound on the blocks' change of S (strongdec): the
+    series' remainder 1/22! and 2^-43 of rounding per unit of weight,
+    2^-62 per block for the extended-precision sums (at most one block per
+    distinct exponent), and 6u of the purity defect."""
+    w, x, defect = support_field(rho0, f, side)
+    blocks = np.unique(x).size
+    return float(w.sum()) * (1.0 / math.factorial(22) + 2.0**-43 + blocks * 2.0**-62) + 6.0 * U * abs(defect)
+
+
+@given(
+    rho0=cat_states(),
+    f=st.one_of(couplings, tabulated),
+    bath=st.sampled_from([SINGLE, OHMIC]),
+    t_max=st.floats(0.05, 8.0),
+)
+def test_blocks_change_the_expm1_loop_by_at_most_their_bound(rho0, f, bath, t_max):
+    ts = np.linspace(0.0, t_max, 12)
+    for side in SIDES:
+        w, x, _ = support_field(rho0, f, side)
+        xu, wu = strongdec._merged(w, x)
+        # the partition: at most a block of exponents, a span of at most 1/40
+        # of the first, and a block start at every head's end
+        starts = strongdec._blocks(xu)
+        first, last = xu[starts[:-1]], xu[starts[1:] - 1]
+        assert np.all(np.diff(starts) <= strongdec._HEAD_BLOCK)
+        assert np.all(last - first <= first / 40.0)
+        assert np.all(np.isin(np.arange(0, xu.size, strongdec._HEAD_BLOCK), starts))
+        loop = expm1_loop(rho0, ts, f, bath, side)
+        s = entropy_series(rho0, ts, f, bath, side)
+        assert np.max(np.abs(s - loop)) <= block_bound(rho0, f, side)
+        # at the module's width a live block's remainder is at most
+        # e^-(c b2) (c b2/41)^22/22! <= 2.8e-37 per unit weight, too small to
+        # show; with bins of ratio 3/2 it reaches 2e-8, and S must stay within
+        # e^-(c b2) sum w y^22/22! over each block with c b2 < 40
+        # (y = (x - c) b2 < 20), the head's 1/22! and the same rounding
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(strongdec, "_PER_LOG", 1.0 / math.log1p(0.5))
+            s = entropy_series(rho0, ts, f, bath, side)
+            starts = strongdec._blocks(xu)
+        c = np.repeat(xu[starts[:-1]], np.diff(starts))
+        for i, b in enumerate(b2(bath, ts)):
+            live = c * b < 40.0
+            y = (xu[live] - c[live]) * b
+            remainder = math.fsum((np.exp(-c[live] * b) * wu[live] * y**22).tolist()) / math.factorial(22)
+            slack = remainder + float(w.sum()) / math.factorial(22) + block_bound(rho0, f, side)
+            assert abs(s[i] - loop[i]) <= slack
+
+
+@pytest.mark.parametrize(
+    "coefficients, t_live",
+    [([0, 0, 0, 1e6], 1e-6), ([0, 0, 0, 1e20], 1e-20), ([0, 0, 0, 1e100], 1e-98), ([0, 1e30], 1e-28)],
+)
+@pytest.mark.parametrize("short", [False, True])
+def test_steep_couplings_run_within_the_block_bound(coefficients, t_live, short, tmp_path):
+    # exponents up to 7e205, under run_scenario's overflow and invalid
+    # errors: past 1e14 each exponent is a block of its own, whose moments
+    # are zero, so no (x - c)^21 overflows.  On the preset's times those
+    # exponents are dead; on times up to t_live they are live
+    cfg = preset_config("linear") | {"coupling": {"variant": "polynomial", "coefficients": coefficients}}
+    if short:
+        cfg["time"] = {"t_max": t_live, "n_steps": 200}
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    series = np.genfromtxt(tmp_path / "out" / "linear_series.csv", delimiter=",", names=True)
+    scn = parse_config(cfg)
+    rho0 = build_density_matrix(scn.state, grid=scn.grid, hbar=scn.model.hbar)
+    for side, column in zip(SIDES, ("S_c", "S_q")):
+        s = series[column]
+        assert np.all(np.isfinite(s))
+        loop = expm1_loop(rho0, scn.times, scn.coupling, scn.bath, side)
+        assert np.max(np.abs(s - loop)) <= block_bound(rho0, scn.coupling, side)
 
 
 def _ties(x):
