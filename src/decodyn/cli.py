@@ -496,24 +496,21 @@ def _default_probe(state: SuperpositionState) -> tuple[float, float]:
     return (pk.center_q - 2.0 * pk.sigma, pk.center_q + 2.0 * pk.sigma)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _write_rows(path: Path, header: str, rows, width: int):
+    """CSV with every value as %.17g, one %-format a row: the same text as
+    f"{x:.17g}" a value, nan, inf and -0 included."""
+    line = ",".join(["%.17g"] * width)
+    path.write_text("\n".join([header, *(line % row for row in rows)]) + "\n")
 
 
 def _write_series(path: Path, series: DecoherenceSeries):
-    lines = [",".join(DecoherenceSeries.COLUMNS)]
-    for row in series.rows():
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    columns = DecoherenceSeries.COLUMNS
+    _write_rows(path, ",".join(columns), series.rows(), len(columns))
 
 
 def _write_scan(path: Path, first_column: str, keys, pairs):
-    lines = [f"{first_column},rate_classical,rate_quantum,ratio"]
-    for key, pair in zip(keys, pairs):
-        lines.append(
-            ",".join(_fmt(v) for v in (key, pair.classical_rate, pair.quantum_rate, pair.ratio))
-        )
-    path.write_text("\n".join(lines) + "\n")
+    rows = [(key, pair.classical_rate, pair.quantum_rate, pair.ratio) for key, pair in zip(keys, pairs)]
+    _write_rows(path, f"{first_column},rate_classical,rate_quantum,ratio", rows, 4)
 
 
 def _oracle_records(scn: Scenario, seed: int) -> dict:

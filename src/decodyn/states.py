@@ -407,8 +407,10 @@ def position_variance(rho: DensityMatrixGrid) -> float:
     return float(np.trapezoid(d * (q - mean) ** 2, q) / norm)
 
 
-# rows of one task of the Wigner pair's FFT stages on the pool; every FFT
-# runs row by row, so the bytes do not depend on it
+# rows (odd columns, for the inverse's half-step shift) of one task of the
+# Wigner pair's FFT stages on the pool, and the height of the inverse's
+# strips; every FFT runs row by row and the strips only move values, so the
+# bytes do not depend on it
 _ROW_BLOCK = 64
 
 
@@ -453,9 +455,10 @@ def inverse_wigner(w: WignerGrid) -> DensityMatrixGrid:
     wigner_transform on the even Q1+Q2 sublattice, spectral half-sample
     shift on the rest.  A zero-padded real FFT of each row of W gives the
     sum at every offset i1 - i2 >= 0: even bins on the even sublattice, odd
-    bins half a step off it.  The i1 < i2 half is the exact conjugate, so
-    the result is Hermitian with a real diagonal by construction and only
-    its trace is checked."""
+    bins half a step off it.  Every cell of rho is read straight from that
+    FFT buffer, a strip of rows at a time; the i1 < i2 half is the exact
+    conjugate, so the result is Hermitian with a real diagonal by
+    construction and only its trace is checked."""
     n = w.q.size
     if w.p.size != n:
         raise ValueError(f"p-grid length {w.p.size} incompatible with q-grid length {n}")
@@ -470,14 +473,15 @@ def inverse_wigner(w: WignerGrid) -> DensityMatrixGrid:
         phase = np.array([1, -1j, -1, 1j])[np.arange(n) % 4] * dp_expect
     else:
         phase = np.exp(-1j * np.pi * (np.arange(n) * (n // 2) % (2 * n)) / n) * dp_expect
-    r = np.empty((n, n + 1), dtype=complex)
-    # both sublattices offset-major: row k holds offset 2k + parity, a diagonal
-    even = np.empty(((n + 1) // 2, n), dtype=complex)
-    odd = np.empty((n // 2, n), dtype=complex)
+    # r[i, d]: the sum at midpoint i and offset d (d = n is never read),
+    # after one spare cell (below)
+    width = n + 1
+    padded = np.empty(1 + n * width, dtype=complex)
+    r = padded[1:].reshape(n, width)
 
     def transform(rows: slice) -> None:
         # conj(r) times the centring phase, a row at a time: a 2-D multiply
-        # would hold numpy iterator buffers on top of r and both sublattices
+        # would hold numpy iterator buffers on top of r
         block = r[rows]
         np.fft.rfft(w.values[rows], 2 * n, axis=1, out=block)
         np.conjugate(block, out=block)
@@ -485,31 +489,75 @@ def inverse_wigner(w: WignerGrid) -> DensityMatrixGrid:
             row[:n] *= phase
 
     _pool.run(transform, _row_blocks(n))
-    # transposing copies need no iterator buffer either
-    np.copyto(even, r[:, 0:n:2].T)
-    np.copyto(odd, r[:, 1:n:2].T)
-    del r
-    # The odd sublattice also sits half a step off in midpoint: evaluate the
+    # The odd offsets also sit half a step off in midpoint: evaluate the
     # trigonometric interpolant there (signed frequencies, Nyquist bin at
-    # -n/2) by a phase ramp on its spectrum along the midpoint axis.
+    # -n/2) by a phase ramp on the spectrum of each odd column of r, in place.
     ramp = np.exp(1j * np.pi * np.fft.fftfreq(n))
 
-    def shift(rows: slice) -> None:
-        f = np.fft.fft(odd[rows], axis=1)
+    def shift(ks: slice) -> None:
+        # the columns' transposing copies go in tiles of _ROW_BLOCK rows,
+        # which stay in cache
+        cols = r[:, 2 * ks.start + 1 : 2 * ks.stop : 2]
+        f = np.empty((cols.shape[1], n), dtype=complex)
+        for i in range(0, n, _ROW_BLOCK):
+            f[:, i : i + _ROW_BLOCK] = cols[i : i + _ROW_BLOCK].T
+        np.fft.fft(f, axis=1, out=f)
         f *= ramp
-        np.fft.ifft(f, axis=1, out=odd[rows])
+        np.fft.ifft(f, axis=1, out=f)
+        for i in range(0, n, _ROW_BLOCK):
+            cols[i : i + _ROW_BLOCK] = f[:, i : i + _ROW_BLOCK].T
 
     _pool.run(shift, _row_blocks(n // 2))
-    # offset d sits at midpoints k..n-k-parity of row k, d = 2k + parity:
-    # the diagonal below the main one at d, and conjugated above it
+    # free them before rho is allocated: r and rho make the peak
+    del phase, ramp
+    # Cell (i1, i2) = (2 s + p, 2 t + q), i1 >= i2, is r[s + t + (p + q) // 2,
+    # 2 (s - t) + p - q]: on each parity class (p, q), a strided view of r,
+    # and its mirror (i2, i1) is the conjugate.  A class's cells above the
+    # diagonal read other cells of r, the spare cell included, and are never
+    # kept.
+    size = r.itemsize
+    lower = {
+        (p, q): np.ndarray(
+            ((n + 1 - p) // 2, (n + 1 - q) // 2),
+            complex,
+            padded,
+            size * (1 + (p + q) // 2 * width + p - q),
+            (size * (width + 2), size * (width - 2)),
+        )
+        for p in (0, 1)
+        for q in (0, 1)
+    }
+    b = _ROW_BLOCK
+    below = np.tril(np.ones((b, b), dtype=bool), -1)
     rho = np.empty((n, n), dtype=complex)
     flat = rho.reshape(-1)
-    for d in range(1, n):
-        k, parity = divmod(d, 2)
-        below = (even, odd)[parity][k, k : n - k - parity]
-        flat[d * n :: n + 1] = below
-        np.conjugate(below, out=flat[d : (n - d) * n : n + 1])
-    np.fill_diagonal(rho, even[0].real)
+
+    def gather(cells, i1: int, i2: int, where=None) -> None:
+        # cells[a, c] = rho[i1 + a, i2 + c], on or below the diagonal where kept
+        for a in (0, 1):
+            for c in (0, 1):
+                part = cells[a::2, c::2]
+                s, t = (i1 + a) // 2, (i2 + c) // 2
+                src = lower[(i1 + a) % 2, (i2 + c) % 2][s : s + part.shape[0], t : t + part.shape[1]]
+                if where is None:
+                    part[...] = src
+                else:
+                    np.copyto(part, src, where=where[a::2, c::2])
+
+    def fill(i: int) -> None:
+        # rows i..i+k of rho: the cells right of the diagonal, as the
+        # transpose of those below it, conjugated with the rows' span in
+        # place; then the cells below it, the diagonal tile's through a mask.
+        # Copies and a contiguous conjugate need no numpy iterator buffer.
+        k = min(b, n - i)
+        gather(rho[i : i + k, i:].T, i, i)
+        span = flat[i * n + i : (i + k) * n]
+        np.conjugate(span, out=span)
+        gather(rho[i : i + k, :i], i, 0)
+        gather(rho[i : i + k, i : i + k], i, i, below[:k, :k])
+
+    _pool.run(fill, range(0, n, b))
+    np.fill_diagonal(rho, r[:, 0].real)
     grid = GridSpec(q_min=float(w.q[0]), q_max=float(w.q[-1]), n_points=n)
     return DensityMatrixGrid._hermitian(grid, rho, w.hbar)
 

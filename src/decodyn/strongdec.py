@@ -60,7 +60,9 @@ precision (x86-64's 80-bit long double, unit v = 2^-64) and rounds once.
 A field of fewer than 256 exponents, a field with a NaN exponent and a time
 with b2 outside (0, 1e14] take one expm1 per live exponent instead, the
 rest adding minus their summed weight, as before: b2 = 0 gives
-S = -defect exactly and a NaN exponent keeps S NaN.  Neither an exponent
+S = -defect exactly and a NaN exponent keeps S NaN.  A time with b2 = 0
+takes no expm1 when the largest exponent and the defect are finite: each
+term is then w expm1(-0) = -0, and the loop's sum is +0.  Neither an exponent
 nor b2 above 1e14 enters a moment, so no x^21, (x - c)^21 or b2^21
 overflows (a 1e100 Q^3 coupling reaches x = 7e205; its moments are those
 of one-exponent blocks, zero).
@@ -404,8 +406,12 @@ def entropy_series(rho0: DensityMatrixGrid, times, f: CouplingFunction, bath: Ba
     # fewer exponents than a block, a NaN exponent and a b2 outside
     # (0, _HEAD_LIMIT] take an expm1 per live exponent
     blocked = (b2s > 0.0) & (b2s <= _HEAD_LIMIT) & (xu.size >= _HEAD_BLOCK) & (not nan)
-    totals = np.empty(b2s.shape)
-    for i in np.flatnonzero(~blocked):
+    # at b2 = 0 each term is w expm1(-0) = -0 and the loop's sum is +0,
+    # unless an exponent is inf or NaN (inf 0 = NaN) or a weight is inf
+    # (then so is the defect)
+    zero = (b2s == 0.0) & (xu.size == 0 or np.isfinite(xu[-1])) & np.isfinite(defect)
+    totals = np.zeros(b2s.shape)
+    for i in np.flatnonzero(~blocked & ~zero):
         totals[i] = _loop_sum(xu, wu, float(b2s[i]), nan)
     if blocked.any():
         totals[blocked] = _block_sums(xu, wu, b2s[blocked])
@@ -448,7 +454,8 @@ class DecoherenceSeries:
     COLUMNS = tuple(column for column, _ in _COLUMN_FIELDS)
 
     def rows(self):
-        return zip(*(getattr(self, field) for _, field in _COLUMN_FIELDS))
+        """Tuples of Python floats, one a time, in column order."""
+        return zip(*(getattr(self, field).tolist() for _, field in _COLUMN_FIELDS))
 
 
 def compute_series(

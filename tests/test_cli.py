@@ -23,7 +23,9 @@ from decodyn.model import (
     SinusoidalCoupling,
     TabulatedCoupling,
 )
+from decodyn.rates import RatePair
 from decodyn.states import GridSpec
+from decodyn.strongdec import DecoherenceSeries
 
 REQUIRED_PRESETS = {
     "linear",
@@ -215,6 +217,32 @@ def test_deterministic_outputs(tmp_path):
     assert a["manifest"].read_bytes() == b["manifest"].read_bytes()
     c = run_scenario("mc-validate", out_dir=tmp_path / "c", seed=99)
     assert c["oracle"].read_bytes() != a["oracle"].read_bytes()
+
+
+# values whose %.17g text has edge cases: nan, the infinities, both zeros,
+# the largest and smallest magnitudes, a subnormal and ordinary fractions
+CSV_VALUES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, 5e-324, 0.1, -2.5, 1.0 / 3.0]
+
+
+def per_value_csv(header, rows):
+    """The CSV writer's text before it formatted a row at a time."""
+    return "\n".join([header, *(",".join(f"{v:.17g}" for v in row) for row in rows)]) + "\n"
+
+
+def test_csv_rows_have_the_per_value_text(tmp_path):
+    rng = np.random.default_rng(11)
+    fields = {field: rng.choice(CSV_VALUES, 200) for field in DecoherenceSeries.__dataclass_fields__ if field != "probe"}
+    series = DecoherenceSeries(**fields, probe=(0.0, 1.0))
+    cli._write_series(tmp_path / "series.csv", series)
+    # the fields are declared in column order
+    rows = zip(*fields.values())
+    assert (tmp_path / "series.csv").read_text() == per_value_csv(",".join(DecoherenceSeries.COLUMNS), rows)
+    # scan keys may arrive as Python or numpy numbers
+    keys = [*rng.choice(CSV_VALUES, 40).tolist(), *rng.choice(CSV_VALUES, 40), 2, 7]
+    pairs = [RatePair(*rng.choice(CSV_VALUES, 3).tolist()) for _ in keys]
+    cli._write_scan(tmp_path / "scan.csv", "separation", keys, pairs)
+    rows = [(k, p.classical_rate, p.quantum_rate, p.ratio) for k, p in zip(keys, pairs)]
+    assert (tmp_path / "scan.csv").read_text() == per_value_csv("separation,rate_classical,rate_quantum,ratio", rows)
 
 
 def test_seed_override_recorded(tmp_path):

@@ -353,6 +353,42 @@ def test_zero_b2_keeps_every_pair_live():
     assert np.all(entropy_series(rho0, [0.0, 1.0, 2.0], f, idle, "quantum") == -defect)
 
 
+class InfSlopeAt(NanSlopeAt):
+    """f = Q^3 with an infinite slope at one midpoint."""
+
+    def _derivative(self, q):
+        return np.where(q == self.bad, np.inf, PolynomialCoupling._derivative(self, q))
+
+
+def test_zero_b2_takes_no_expm1_on_a_finite_field(monkeypatch):
+    # at b2 = 0 each term is w expm1(-0) = -0 and the loop's sum is +0, so
+    # every preset state skips the loop at t = 0 and keeps the loop's bytes:
+    # S(0) = -0 where the defect is 0, as on sine-cat.  An infinite
+    # exponent still takes the loop, where inf 0 = NaN keeps S(0) NaN.
+    calls = []
+    loop = strongdec._loop_sum
+
+    def counted(xu, wu, b, nan):
+        calls.append(b)
+        return loop(xu, wu, b, nan)
+
+    monkeypatch.setattr(strongdec, "_loop_sum", counted)
+    zeros = {}
+    for scn, rho0 in preset_states():
+        for side in SIDES:
+            s = entropy_series(rho0, [0.0], scn.coupling, scn.bath, side)
+            assert s.tobytes() == expm1_loop(rho0, [0.0], scn.coupling, scn.bath, side).tobytes()
+            zeros.setdefault(scn.name, s[0])
+    assert calls == []
+    assert math.copysign(1.0, zeros["sine-cat"]) == -1.0
+    rho0 = build_density_matrix(SuperpositionState.symmetric_cat(8.0, 0.2))
+    _, qbar, _, _ = rho0.support()
+    f = InfSlopeAt(float(qbar[qbar.size // 2]))
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(entropy_series(rho0, [0.0], f, SINGLE, "classical")[0])
+    assert calls == [0.0]
+
+
 @given(rho0=cat_states(), f=couplings, bath=st.sampled_from([SINGLE, OHMIC]), t_max=st.floats(0.5, 8.0))
 def test_each_time_has_the_same_bytes_alone_and_in_a_threaded_batch(rho0, f, bath, t_max):
     # 7 times over 3 workers: an uneven interleave

@@ -4,11 +4,13 @@
 antidiagonals and takes one Hermitian FFT; ``inverse_wigner`` takes one
 zero-padded real FFT per row, whose even bins are the even sublattice and
 whose odd bins, shifted half a step in midpoint, are the odd sublattice,
-and mirrors the i1 >= i2 half by conjugation.  Both move their cells one
-matrix diagonal at a time; the same FFTs with the flat index arrays of
-``half_lattice`` instead must give the same bytes.  The reference below is an
-earlier path, kept as it was: a twiddled full-length DFT, a per-column
-gather loop and a 2n x 2n zero-padded upsample read at its odd-odd nodes.
+and mirrors the i1 >= i2 half by conjugation.  The forward moves its cells
+one matrix diagonal at a time; the inverse reads each cell of rho straight
+from the padded FFT buffer, a strip of rows at a time.  The same FFTs with
+the flat index arrays of ``half_lattice`` instead must give the same bytes.
+The reference below is an earlier path, kept as it was: a twiddled
+full-length DFT, a per-column gather loop and a 2n x 2n zero-padded
+upsample read at its odd-odd nodes.
 Its twiddles carry about n eps of phase error, so the two agree to
 rounding, not bytewise.  The oracle is the direct sum of both transforms in
 long double (64-bit mantissa), with every phase reduced in integers first:
@@ -17,9 +19,11 @@ the reference.  For odd n the reference upsample is wrong (its padding
 shifts the spectrum by one bin), so its odd cells are not compared there.
 
 The FFT stages of both transforms run on the package's thread pool in
-fixed blocks of rows.  Every FFT works row by row, so the pair must keep
-the bytes of its serial form, kept below as it was, at any worker count and
-any block size.
+fixed blocks of rows (of odd columns, for the inverse's half-step shift),
+and the inverse fills rho in strips of as many rows.  Every FFT works row
+by row and the strips only move values, so the pair must keep the bytes of
+its serial form, kept below as it was, at any worker count and any block
+size.
 """
 
 import math
@@ -317,9 +321,9 @@ def nan_empty(shape, dtype=float, **kwargs):
 
 
 def diagonal_slices(n):
-    """The flat cells of an n x n matrix that inverse_wigner writes: the main
-    diagonal, then for each offset d = 1..n-1 the diagonal d below it and
-    its mirror d above it."""
+    """The flat cells of an n x n matrix that an earlier inverse_wigner
+    wrote: the main diagonal, then for each offset d = 1..n-1 the diagonal d
+    below it and its mirror d above it."""
     cells = np.arange(n * n)
     out = [cells[:: n + 1]]
     for d in range(1, n):
@@ -347,8 +351,8 @@ def test_diagonal_slices_write_every_cell_once(n, seed):
         back = inverse_wigner(w).values
     assert not np.isnan(back).any()
     assert np.array_equal(back, half_lattice_inverse(w))
-    # the two slices of offset d hold n - d cells each, and with the main
-    # diagonal they hold every cell of the matrix once
+    # the reference slices: the two of offset d hold n - d cells each, and
+    # with the main diagonal they hold every cell of the matrix once
     slices = diagonal_slices(n)
     assert [s.size for s in slices[1:]] == [n - d for d in range(1, n) for _ in range(2)]
     assert np.array_equal(np.sort(np.concatenate(slices)), np.arange(n * n))
@@ -420,7 +424,10 @@ def mixed_values(n):
 
 
 # a pure cat on 128 points, 2 x 64; a pure cat on an odd n; a pure cat on an
-# n that is a multiple of neither 7 nor 64; a matrix given as values
+# n that is a multiple of neither 7 nor 64; a matrix given as values.  The
+# block is also the height of the inverse's strips and of its shift's column
+# blocks: at 7 and 64 the last strip of cat-odd-129 and cat-200 is partial,
+# and at n + 1 one strip fills rho.
 PAIR_STATES = {
     "cat-128": lambda: kicked_cat(128),
     "cat-odd-129": lambda: kicked_cat(129),
@@ -464,10 +471,12 @@ def test_wigner_mass_is_the_trapezoid_rule():
 # tracemalloc peaks of each transform on the held n = 1024 cat below, in
 # bytes, measured with numpy 2.4.6 on a 2-core Xeon: 33,647,216 forward
 # and 33,719,984 inverse on whole arrays (32.1 and 32.2 MiB), and 18,136,352
-# and 33,619,416 with the pooled stages.  The forward holds the gathered
-# lattice, W and one FFT block per worker; the inverse peaks where the
-# padded FFT buffer and both sublattices are held, and its row-by-row phase
-# multiply and transposing copies need no iterator buffer on top.
+# and 33,605,712 with the pooled stages (a few hundred bytes vary from run
+# to run).  The forward holds the gathered lattice, W and one FFT block per
+# worker; the inverse peaks where the padded FFT buffer and rho are held.
+# Its strips write rho by copies and one contiguous conjugate each, which
+# need no iterator buffer, and hold no buffer of their own, so that peak
+# does not grow with the worker count (33,606,872 with a pool of 4).
 FORWARD_PEAK = 33_647_216
 INVERSE_PEAK = 33_719_984
 
