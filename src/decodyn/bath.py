@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import _pool
+from . import _checks, _pool
 
 __all__ = [
     "BathSpec",
@@ -66,15 +66,15 @@ class BathSpec:
         if m.ndim != 1 or m.shape != w.shape or m.shape != self.couplings.shape:
             raise ValueError("masses, omegas and couplings must be 1-D arrays of equal length")
         if m.size == 0:
-            raise ValueError("bath needs at least one mode")
-        for what, a in (("mass", m), ("frequency", w)):
+            raise ValueError("masses: a bath needs at least one mode")
+        for name, what, a in (("masses", "mass", m), ("omegas", "frequency", w)):
             bad = np.flatnonzero(~(a > 0))
             if bad.size:
-                raise ValueError(f"mode {what} must be positive, got {a[bad[0]]} at mode {bad[0]}")
+                raise ValueError(f"{name}[{bad[0]}]: mode {what} must be positive, got {a[bad[0]]} at mode {bad[0]}")
+        _checks.finite(masses=m, omegas=w, couplings=self.couplings)
         if not self.beta > 0:
-            raise ValueError(f"beta must be positive (math.inf for T=0), got {self.beta}")
-        if not self.hbar > 0:
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
+            raise ValueError(f"beta: must be positive (math.inf for T=0), got {self.beta}")
+        _checks.positive(hbar=self.hbar)
 
     @property
     def n_modes(self) -> int:
@@ -132,13 +132,10 @@ def discretize_ohmic(
     2*pi/dw.
     """
     if n_modes < 1:
-        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-    if not omega_max > 0:
-        raise ValueError(f"omega_max must be positive, got {omega_max}")
-    if not eta > 0:
-        raise ValueError(f"eta must be positive, got {eta}")
+        raise ValueError(f"n_modes: must be >= 1, got {n_modes}")
+    _checks.positive(eta=eta, omega_max=omega_max)
     if not omega_cutoff > 0:
-        raise ValueError(f"omega_cutoff must be positive, got {omega_cutoff}")
+        raise ValueError(f"omega_cutoff: must be positive (math.inf for no cutoff), got {omega_cutoff}")
     dw = omega_max / n_modes
     omegas = dw * np.arange(1, n_modes + 1)
     with np.errstate(over="ignore", invalid="ignore"):

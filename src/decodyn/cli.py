@@ -35,8 +35,8 @@ from .model import (
     SinusoidalCoupling,
     TabulatedCoupling,
 )
-from .oracle import FockConfig, fock_quantum_factor, mc_classical_factor
-from .rates import hbar_scan, separation_scan
+from .oracle import FockConfig, _check_samples, _check_single_mode, fock_quantum_factor, mc_classical_factor
+from .rates import _check_separations, hbar_scan, separation_scan
 from .states import (
     DensityMatrixGrid,
     GaussianPacket,
@@ -99,14 +99,20 @@ _MAX_PAIR_TIMES = 1 << 31
 
 
 @contextmanager
-def _field(path: str):
+def _field(path: str, *names: str, **renamed: str):
     """Raise a ValueError or ArithmeticError from the enclosed block as a
-    ConfigError that opens with path; a ConfigError names its field already."""
+    ConfigError that opens with path; one that opens with an argument in names
+    or renamed opens with path.key, index kept: bath.modes[1] for masses[1]."""
     try:
         yield
     except ConfigError:
         raise
     except (ValueError, ArithmeticError) as exc:
+        head, sep, rest = str(exc).partition(": ")
+        arg, bracket, index = head.partition("[")
+        key = renamed.get(arg, arg if arg in names else None)
+        if sep and key is not None:
+            raise ConfigError(f"{path}.{key}{bracket}{index}: {rest}") from exc
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -163,7 +169,7 @@ def _parse_model(cfg: dict) -> ModelConfig:
     raw = _get(cfg, "model", "config", dict, default={})
     hbar = _get(raw, "hbar", "model", float, default=1.0)
     beta = _get_or_inf(raw, "beta", "model")
-    with _field("model"):
+    with _field("model", "hbar", "beta"):
         return ModelConfig(hbar=hbar, beta=beta)
 
 
@@ -208,13 +214,10 @@ def _parse_bath(cfg: dict, model: ModelConfig) -> tuple[BathSpec, str]:
         eta = _get(o, "eta", "bath.ohmic", float, required=True)
         omega_c = _get_or_inf(o, "omega_c", "bath.ohmic")
         omega_max = _get(o, "omega_max", "bath.ohmic", float, required=True)
-        for key, val in (("eta", eta), ("omega_c", omega_c), ("omega_max", omega_max)):
-            if not val > 0:
-                raise ConfigError(f"bath.ohmic.{key}: must be positive, got {val}")
         n_modes = _get(o, "n_modes", "bath.ohmic", int, required=True)
-        if not 1 <= n_modes <= _MAX_BATH_MODES:
-            raise ConfigError(f"bath.ohmic.n_modes: must be in [1, {_MAX_BATH_MODES}], got {n_modes}")
-        with _field("bath.ohmic"):
+        if n_modes > _MAX_BATH_MODES:
+            raise ConfigError(f"bath.ohmic.n_modes: must be at most {_MAX_BATH_MODES}, got {n_modes}")
+        with _field("bath.ohmic", "eta", "n_modes", "omega_max", omega_cutoff="omega_c"):
             bath = discretize_ohmic(eta, omega_c, n_modes, omega_max, beta=model.beta, hbar=model.hbar)
         return _check_bath(bath, "bath.ohmic"), "bath.ohmic"
     if "modes" in raw:
@@ -226,10 +229,7 @@ def _parse_bath(cfg: dict, model: ModelConfig) -> tuple[BathSpec, str]:
             masses.append(_get(entry, "m", path, float, default=1.0))
             omegas.append(_get(entry, "omega", path, float, required=True))
             couplings.append(_get(entry, "c", path, float, required=True))
-            for what, val in (("mass", masses[-1]), ("frequency", omegas[-1])):
-                if not val > 0:
-                    raise ConfigError(f"{path}: mode {what} must be positive, got {val}")
-        with _field("bath.modes"):
+        with _field("bath", masses="modes", omegas="modes", couplings="modes"):
             bath = BathSpec(masses, omegas, couplings, beta=model.beta, hbar=model.hbar)
         return _check_bath(bath, "bath.modes"), "bath.modes"
     raise ConfigError("bath: must contain either 'ohmic' or 'modes'")
@@ -243,7 +243,7 @@ def _parse_coupling(cfg: dict) -> CouplingFunction:
     def num(key, default=None):
         return _get(raw, key, "coupling", float, default, required=default is None)
 
-    with _field("coupling"):
+    with _field("coupling", "coefficients", "wavelength", "values", q_grid="q"):
         if kind == "linear":
             return LinearCoupling(num("a", 1.0))
         if kind == "quadratic":
@@ -259,15 +259,12 @@ def _parse_coupling(cfg: dict) -> CouplingFunction:
 
 def _parse_state(cfg: dict) -> tuple[SuperpositionState, GridSpec]:
     raw = _get(cfg, "state", "config", dict, required=True)
-    entries = _get(raw, "packets", "state", list, required=True)
-    if not entries:
-        raise ConfigError("state.packets: needs at least one packet")
     packets = []
-    for i, entry in enumerate(entries):
+    for i, entry in enumerate(_get(raw, "packets", "state", list, required=True)):
         path = f"state.packets[{i}]"
         if not isinstance(entry, dict):
             raise ConfigError(f"{path}: expected an object")
-        with _field(path):
+        with _field(path, "center_q", "center_p", "sigma"):
             packets.append(
                 GaussianPacket(
                     center_q=_get(entry, "center_q", path, float, required=True),
@@ -279,7 +276,8 @@ def _parse_state(cfg: dict) -> tuple[SuperpositionState, GridSpec]:
                     ),
                 )
             )
-    state = SuperpositionState(packets=tuple(packets))
+    with _field("state", "packets"):
+        state = SuperpositionState(packets=tuple(packets))
     if "grid" not in raw:
         # the automatic grid, refused here rather than when the run starts
         return state, _cover(state, "state")
@@ -289,7 +287,7 @@ def _parse_state(cfg: dict) -> tuple[SuperpositionState, GridSpec]:
     n_points = _get(g, "n_points", "state.grid", int, required=True)
     if n_points > _MAX_GRID_POINTS:
         raise ConfigError(f"state.grid.n_points: must be at most {_MAX_GRID_POINTS}, got {n_points}")
-    with _field("state.grid"):
+    with _field("state.grid", "q_min", "q_max", "n_points"):
         return state, GridSpec(q_min=q_min, q_max=q_max, n_points=n_points)
 
 
@@ -343,25 +341,20 @@ def _parse_scan(cfg: dict, bath: BathSpec) -> dict | None:
     if "separations" in raw:
         seps = _get_numbers(raw, "separations", "scan", _MAX_LIST_ENTRIES)
         sigma = _get(raw, "sigma", "scan", float, required=True)
-        if not seps or seps[0] <= 0 or any(b <= a for a, b in zip(seps, seps[1:])):
-            raise ConfigError(f"scan.separations: must be positive and strictly increasing, got {seps}")
-        if not 0 < sigma < 0.5 * seps[0]:
-            raise ConfigError(f"scan.sigma: must be positive and below half the smallest separation, got {sigma}")
+        with _field("scan", "separations", "sigma"):
+            _check_separations(seps, sigma)
         return {"kind": "separation", "separations": seps, "sigma": sigma}
     if "hbar_factors" in raw:
         factors = _get_numbers(raw, "hbar_factors", "scan", _MAX_LIST_ENTRIES)
-        for i, factor in enumerate(factors):
-            if not factor > 0:
-                raise ConfigError(f"scan.hbar_factors[{i}]: must be positive, got {factor}")
         # what _overflowing checks falls with hbar (1/hbar, coth, b2, b2_dot,
         # thermal_strength and its ratio to hbar), rises (the widths) or does
         # not depend on it (b1), so the smallest and largest factor bound all
-        for factor in (min(factors, default=1.0), max(factors, default=1.0)):
-            scaled = replace(bath, hbar=bath.hbar * factor)
-            over = _overflowing(scaled)
-            if over is not None:
-                i = factors.index(factor)
-                raise ConfigError(f"scan.hbar_factors[{i}]: {over[0]} overflows the float range at hbar = {scaled.hbar!r}")
+        for i in (factors.index(min(factors)), factors.index(max(factors))) if factors else ():
+            with _field(f"scan.hbar_factors[{i}]"):
+                scaled = replace(bath, hbar=bath.hbar * factors[i])
+                over = _overflowing(scaled)
+                if over is not None:
+                    raise ValueError(f"{over[0]} overflows the float range at hbar = {scaled.hbar!r}")
         return {"kind": "hbar", "factors": factors}
     raise ConfigError("scan: must contain 'separations' (+'sigma') or 'hbar_factors'")
 
@@ -375,23 +368,22 @@ def _parse_oracle(cfg: dict, bath: BathSpec, source: str) -> dict | None:
         mc = _get(raw, "mc", "oracle", dict, required=True)
         times = _get_numbers(mc, "times", "oracle.mc", _MAX_LIST_ENTRIES)
         n_samples = _get(mc, "n_samples", "oracle.mc", int, default=100_000)
-        if not 1000 <= n_samples <= _MAX_MC_SAMPLES or n_samples % 100:
-            raise ConfigError(
-                f"oracle.mc.n_samples: must be a multiple of 100 in [1000, {_MAX_MC_SAMPLES}], got {n_samples}"
-            )
+        if n_samples > _MAX_MC_SAMPLES:
+            raise ConfigError(f"oracle.mc.n_samples: must be at most {_MAX_MC_SAMPLES}, got {n_samples}")
+        with _field("oracle.mc", "n_samples"):
+            _check_samples(n_samples)
         if bath.n_modes > _MAX_MC_MODES:
-            raise ConfigError(
-                f"oracle.mc: the trajectory ensemble samples at most {_MAX_MC_MODES} bath modes, got {bath.n_modes}"
-            )
+            raise ConfigError(f"oracle.mc: the ensemble samples at most {_MAX_MC_MODES} bath modes, got {bath.n_modes}")
         out["mc"] = {"times": times, "n_samples": n_samples}
     if "fock" in raw:
         fk = _get(raw, "fock", "oracle", dict, required=True)
         times = _get_numbers(fk, "times", "oracle.fock", _MAX_LIST_ENTRIES)
         n_levels = _get(fk, "n_levels", "oracle.fock", int, default=64)
-        if not 8 <= n_levels <= _MAX_FOCK_LEVELS:
-            raise ConfigError(f"oracle.fock.n_levels: must be in [8, {_MAX_FOCK_LEVELS}], got {n_levels}")
-        if bath.n_modes != 1:
-            raise ConfigError(f"oracle.fock: needs a single-mode bath, got {bath.n_modes} modes")
+        if n_levels > _MAX_FOCK_LEVELS:
+            raise ConfigError(f"oracle.fock.n_levels: must be at most {_MAX_FOCK_LEVELS}, got {n_levels}")
+        with _field("oracle.fock", "n_levels"):
+            FockConfig(n_levels)
+            _check_single_mode(bath)
         out["fock"] = {"times": times, "n_levels": n_levels}
     if not out:
         raise ConfigError("oracle: must contain 'mc' and/or 'fock'")
@@ -460,9 +452,7 @@ def parse_config(cfg: dict) -> Scenario:
     )
     grids = [grid]
     if scn.scan is not None and scn.scan["kind"] == "separation":
-        with _field("scan"):
-            widest = SuperpositionState.symmetric_cat(scn.scan["separations"][-1], scn.scan["sigma"])
-        grids.append(_cover(widest, "scan"))
+        grids.append(_cover(SuperpositionState.symmetric_cat(scn.scan["separations"][-1], scn.scan["sigma"]), "scan"))
     if isinstance(coupling, TabulatedCoupling):
         _check_table_covers(scn, grids)
     # the same GridCoverageError, and exit 3, as when the run builds the

@@ -22,6 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _checks
+
 __all__ = [
     "ModelConfig",
     "CouplingFunction",
@@ -44,10 +46,9 @@ class ModelConfig:
     beta: float = math.inf
 
     def __post_init__(self):
-        if not self.hbar > 0:
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
+        _checks.positive(hbar=self.hbar)
         if not self.beta > 0:
-            raise ValueError(f"beta must be positive (use math.inf for T=0), got {self.beta}")
+            raise ValueError(f"beta: must be positive (math.inf for T=0), got {self.beta}")
 
 
 def _wrap(values: np.ndarray, scalar: bool):
@@ -106,7 +107,8 @@ class PolynomialCoupling(CouplingFunction):
     def __post_init__(self):
         object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
         if len(self.coefficients) == 0:
-            raise ValueError("polynomial needs at least one coefficient")
+            raise ValueError("coefficients: needs at least one coefficient")
+        _checks.finite(coefficients=self.coefficients)
 
     @property
     def degree(self) -> int:
@@ -146,8 +148,9 @@ class SinusoidalCoupling(CouplingFunction):
     phase: float = 0.0
 
     def __post_init__(self):
+        _checks.finite(amplitude=self.amplitude, wavelength=self.wavelength, phase=self.phase)
         if self.wavelength == 0:
-            raise ValueError("wavelength must be nonzero")
+            raise ValueError("wavelength: must be nonzero")
 
     def _values(self, q):
         return self.amplitude * np.sin(2.0 * np.pi * q / self.wavelength + self.phase)
@@ -175,11 +178,12 @@ class TabulatedCoupling(CouplingFunction):
         object.__setattr__(self, "q_grid", q)
         object.__setattr__(self, "values", v)
         if len(q) != len(v):
-            raise ValueError("q_grid and values must have equal length")
+            raise ValueError(f"values: must have one entry a point of q_grid, got {len(v)} for {len(q)}")
         if len(q) < 4:
-            raise ValueError("tabulated coupling needs at least 4 points")
+            raise ValueError(f"q_grid: needs at least 4 points, got {len(q)}")
+        _checks.finite(q_grid=q, values=v)
         if not np.all(np.diff(q) > 0):
-            raise ValueError("q_grid must be strictly increasing")
+            raise ValueError("q_grid: must be strictly increasing")
 
     @cached_property
     def _spline(self):

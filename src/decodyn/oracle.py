@@ -57,9 +57,9 @@ class McEstimate:
 
     def __post_init__(self):
         if self.std_error < 0:
-            raise ValueError("std_error must be nonnegative")
+            raise ValueError(f"std_error: must be nonnegative, got {self.std_error}")
         if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
+            raise ValueError(f"n_samples: must be >= 1, got {self.n_samples}")
 
     def sigma_distance(self, reference: complex) -> float:
         """|mean - reference| in units of the standard error."""
@@ -84,13 +84,7 @@ def mc_classical_factor(
     Every time reads the same draws [0, n_samples); the times are projected
     in groups of at most _GROUP_BYTES of phases, one draw each.
     """
-    if n_samples < 1000:
-        raise ValueError(
-            f"n_samples={n_samples} too small: at least 1000 required for a meaningful error bar"
-        )
-    if n_samples % _JACKKNIFE_BLOCKS:
-        raise ValueError(f"n_samples must be a multiple of {_JACKKNIFE_BLOCKS} (jackknife blocking)")
-
+    _check_samples(n_samples)
     dq = q1 - q2
     qbar = 0.5 * (q1 + q2)
     slope = f.slope(qbar)
@@ -112,6 +106,12 @@ def mc_classical_factor(
             row += -lam * fbar * float(np.sum(c * c * _x_minus_sin(x[k]) / (m * w**3)))
             estimates.append(_jackknife(row))
     return estimates[0] if np.ndim(t) == 0 else estimates
+
+
+def _check_samples(n_samples: int) -> None:
+    if n_samples < 1000 or n_samples % _JACKKNIFE_BLOCKS:
+        rule = f"a multiple of {_JACKKNIFE_BLOCKS} (the jackknife blocks) and at least 1000"
+        raise ValueError(f"n_samples: must be {rule} (fewer are too small for a meaningful error bar), got {n_samples}")
 
 
 def _jackknife(phase: np.ndarray) -> McEstimate:
@@ -148,7 +148,12 @@ class FockConfig:
 
     def __post_init__(self):
         if self.n_levels < 8:
-            raise ValueError(f"n_levels must be >= 8, got {self.n_levels}")
+            raise ValueError(f"n_levels: must be >= 8, got {self.n_levels}")
+
+
+def _check_single_mode(bath: BathSpec) -> None:
+    if bath.n_modes != 1:
+        raise ValueError(f"bath: the Fock oracle supports a single bath mode only, got {bath.n_modes} modes")
 
 
 def _branch_overlap(q1, q2, times, f, bath, n_levels):
@@ -191,8 +196,7 @@ def fock_quantum_factor(
 
     Raises if doubling the truncation shifts any overlap by more than 1e-8.
     """
-    if bath.n_modes != 1:
-        raise ValueError("Fock oracle supports a single bath mode only")
+    _check_single_mode(bath)
     times = np.atleast_1d(np.asarray(t, dtype=float))
     if times.size == 0:
         raise ValueError("t: the time list is empty; the Fock oracle needs at least one time")

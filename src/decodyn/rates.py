@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _checks
 from .bath import BathSpec, _coth, _thermal_terms, thermal_strength
 from .model import CouplingFunction
 from .states import DensityMatrixGrid, SuperpositionState, build_density_matrix
@@ -76,6 +77,8 @@ def _pair(integrals: tuple[float, float], cb: float, hbar: float) -> RatePair:
 
 def rate_pair(rho0: DensityMatrixGrid, f: CouplingFunction, cb: float, hbar: float) -> RatePair:
     """Both rates, from the support pairs of rho0; each side is summed once per state and coupling."""
+    _checks.finite(cb=cb)
+    _checks.positive(hbar=hbar)
     return _pair(_integrals(rho0, f), cb, hbar)
 
 
@@ -83,8 +86,19 @@ def linear_closed_form(delta2q: float, bath: BathSpec) -> float:
     """Closed form of both rates for f(Q) = Q on a pure state of position
     variance delta2q:  2 * delta2q * thermal_strength(bath) / hbar."""
     if delta2q < 0:
-        raise ValueError("variance must be nonnegative")
+        raise ValueError(f"delta2q: must be nonnegative, got {delta2q}")
     return 2.0 * delta2q * thermal_strength(bath) / bath.hbar
+
+
+def _check_separations(separations, sigma: float) -> list[float]:
+    """The separations as floats, refused unless positive, increasing and finite, with 0 < sigma < half the first."""
+    seps = [float(s) for s in separations]
+    if not seps or not seps[0] > 0 or any(not b > a for a, b in zip(seps, seps[1:])):
+        raise ValueError(f"separations: the separations must be positive and strictly increasing, got {seps}")
+    _checks.finite(separations=seps)
+    if not 0 < sigma < 0.5 * seps[0]:
+        raise ValueError(f"sigma: must be positive and below half the smallest separation {seps[0]}, got {sigma}")
+    return seps
 
 
 def separation_scan(
@@ -94,13 +108,8 @@ def separation_scan(
     bath: BathSpec,
 ) -> list[RatePair]:
     """Rates for symmetric cats of increasing separation, one RatePair per
-    separation.  Packet width must stay well below the smallest separation
-    so the packets are distinguishable."""
-    seps = [float(s) for s in separations]
-    if not seps or not seps[0] > 0 or any(not b > a for a, b in zip(seps, seps[1:])):
-        raise ValueError(f"separations must be positive and strictly increasing, got {seps}")
-    if not sigma < 0.5 * seps[0]:
-        raise ValueError(f"sigma={sigma} too wide for smallest separation {seps[0]}")
+    separation, each cat of packet width sigma."""
+    seps = _check_separations(separations, sigma)
     cb = thermal_strength(bath)
     out = []
     for sep in seps:

@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import _pool
+from . import _checks, _pool
 
 __all__ = [
     "GridCoverageError",
@@ -64,8 +64,8 @@ class GaussianPacket:
     amplitude: complex = 1.0 + 0.0j
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        _checks.finite(center_q=self.center_q, center_p=self.center_p, amplitude=self.amplitude)
+        _checks.positive(sigma=self.sigma)
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ class SuperpositionState:
     def __post_init__(self):
         object.__setattr__(self, "packets", tuple(self.packets))
         if len(self.packets) == 0:
-            raise ValueError("state needs at least one packet")
+            raise ValueError("packets: a state needs at least one packet")
 
     @classmethod
     def single(cls, sigma: float, center_q: float = 0.0, center_p: float = 0.0):
@@ -87,7 +87,7 @@ class SuperpositionState:
     def symmetric_cat(cls, separation: float, sigma: float, center: float = 0.0):
         """Equal real-amplitude packets at center -/+ separation/2."""
         if not separation > 0:
-            raise ValueError("separation must be positive")
+            raise ValueError(f"separation: must be positive, got {separation}")
         return cls(
             packets=(
                 GaussianPacket(center - 0.5 * separation, 0.0, sigma),
@@ -125,10 +125,11 @@ class GridSpec:
     n_points: int
 
     def __post_init__(self):
+        _checks.finite(q_min=self.q_min, q_max=self.q_max)
         if not self.q_max > self.q_min:
-            raise ValueError("q_max must exceed q_min")
+            raise ValueError(f"q_max: must exceed q_min = {self.q_min}, got {self.q_max}")
         if self.n_points < 16:
-            raise ValueError(f"n_points must be >= 16, got {self.n_points}")
+            raise ValueError(f"n_points: must be >= 16, got {self.n_points}")
 
     @property
     def spacing(self) -> float:
@@ -188,8 +189,7 @@ class DensityMatrixGrid:
     def __init__(self, grid: GridSpec, values=None, hbar: float = 1.0, *, psi=None):
         if (values is None) == (psi is None):
             raise ValueError("give exactly one of values and psi")
-        if not hbar > 0:
-            raise ValueError("hbar must be positive")
+        _checks.positive(hbar=hbar)
         self.grid = grid
         self.hbar = hbar
         self.psi = None
@@ -197,20 +197,21 @@ class DensityMatrixGrid:
         if psi is not None:
             p = np.asarray(psi, dtype=complex)
             if p.shape != (n,):
-                raise ValueError(f"psi must have {n} entries, got shape {p.shape}")
+                raise ValueError(f"psi: must have {n} entries, got shape {p.shape}")
             _check_trace(float(np.sum(np.abs(p) ** 2)) * grid.spacing)
             self.psi = p
             return
         v = np.asarray(values, dtype=complex)
         if v.shape != (n, n):
-            raise ValueError(f"values must be {n}x{n}, got {v.shape}")
+            raise ValueError(f"values: must be {n}x{n}, got {v.shape}")
         scale = max(float(np.max(np.abs(v))), 1.0)
         herm = float(np.max(np.abs(v - v.conj().T)))
-        if herm > _HERMITICITY_TOL * scale:
-            raise ValueError(f"density matrix not Hermitian (max deviation {herm:.3e})")
+        # the comparison also refuses a NaN or infinite entry, which makes herm NaN
+        if not herm <= _HERMITICITY_TOL * scale:
+            raise ValueError(f"values: density matrix not Hermitian (max deviation {herm:.3e})")
         d = np.diagonal(v)
         if float(np.min(d.real)) < -_DIAG_TOL * scale:
-            raise ValueError("density matrix diagonal has negative entries")
+            raise ValueError("values: density matrix diagonal has negative entries")
         _check_trace(float(np.sum(d.real)) * grid.spacing)
         self.values = v
 
@@ -361,7 +362,7 @@ class WignerGrid:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "values", v)
         if v.shape != (q.size, p.size):
-            raise ValueError(f"values must be {(q.size, p.size)}, got {v.shape}")
+            raise ValueError(f"values: must be {(q.size, p.size)}, got {v.shape}")
         # trapezoid weights over p: no n x n temporary, and no BLAS threads competing with the pool's
         half = 0.5 * np.diff(p)
         mass = float(np.trapezoid(np.einsum("ij,j->i", v, np.pad(half, (0, 1)) + np.pad(half, (1, 0))), q))

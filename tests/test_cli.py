@@ -522,6 +522,8 @@ def test_non_finite_numbers_rejected(tmp_path, capsys, overrides, field):
         ({"bath": {"modes": [dict(HEAVY_MODE, c=3.5e153)] * 2}, "time": {"t_max": 10.0, "n_steps": 20}}, "bath.modes"),
         ({"bath": {"ohmic": dict(OHMIC, eta=1e300)}, "time": {"t_max": 1e10, "n_steps": 20}}, "bath.ohmic"),
         ({"bath": {"modes": [HEAVY_MODE]}, "oracle": {"mc": {"times": [1.0, 10.0]}}}, "bath.modes[0]"),
+        # hbar x factor underflows to 0, which the scaled bath refuses
+        ({"model": {"hbar": 1e-300}, "scan": {"hbar_factors": [1.0, 1e-300]}}, "scan.hbar_factors[1]"),
     ],
 )
 def test_config_errors_name_the_field_once(tmp_path, capsys, overrides, field):

@@ -87,6 +87,15 @@ def test_density_matrix_invariants_enforced():
         DensityMatrixGrid(grid=good.grid, values=skew)
 
 
+def test_density_matrix_refuses_nan_off_diagonal_values():
+    # max(nan, 1.0) is nan, so a test of herm > tol * scale passed such a matrix
+    rho = build_density_matrix(SuperpositionState.symmetric_cat(4.0, 0.5), grid=GridSpec(-8.0, 8.0, 64))
+    values = rho.values.copy()
+    values[3, 5] = values[5, 3] = np.nan
+    with pytest.raises(ValueError, match="^values: density matrix not Hermitian"):
+        DensityMatrixGrid(grid=rho.grid, values=values)
+
+
 def test_pure_state_keeps_its_factor():
     grid = GridSpec(-8.0, 8.0, 256)
     rho = build_density_matrix(SuperpositionState.symmetric_cat(6.0, 0.5), grid=grid)
