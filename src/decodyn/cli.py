@@ -35,8 +35,8 @@ from .model import (
     SinusoidalCoupling,
     TabulatedCoupling,
 )
-from .oracle import FockConfig, _check_samples, _check_single_mode, fock_quantum_factor, mc_classical_factor
-from .rates import _check_separations, hbar_scan, separation_scan
+from .oracle import FockConfig, _check_samples, _check_single_mode, _times, fock_quantum_factor, mc_classical_factor
+from .rates import _check_hbar_factors, _check_separations, hbar_scan, separation_scan
 from .states import (
     DensityMatrixGrid,
     GaussianPacket,
@@ -346,10 +346,12 @@ def _parse_scan(cfg: dict, bath: BathSpec) -> dict | None:
         return {"kind": "separation", "separations": seps, "sigma": sigma}
     if "hbar_factors" in raw:
         factors = _get_numbers(raw, "hbar_factors", "scan", _MAX_LIST_ENTRIES)
+        with _field("scan", "hbar_factors"):
+            _check_hbar_factors(factors)
         # what _overflowing checks falls with hbar (1/hbar, coth, b2, b2_dot,
         # thermal_strength and its ratio to hbar), rises (the widths) or does
         # not depend on it (b1), so the smallest and largest factor bound all
-        for i in (factors.index(min(factors)), factors.index(max(factors))) if factors else ():
+        for i in (factors.index(min(factors)), factors.index(max(factors))):
             with _field(f"scan.hbar_factors[{i}]"):
                 scaled = replace(bath, hbar=bath.hbar * factors[i])
                 over = _overflowing(scaled)
@@ -388,8 +390,8 @@ def _parse_oracle(cfg: dict, bath: BathSpec, source: str) -> dict | None:
     if not out:
         raise ConfigError("oracle: must contain 'mc' and/or 'fock'")
     for kind, spec in out.items():
-        if not spec["times"]:
-            raise ConfigError(f"oracle.{kind}.times: needs at least one time")
+        with _field(f"oracle.{kind}", t="times"):
+            _times(spec["times"])
         for i, t in enumerate(spec["times"]):
             _check_phase(bath, t, f"oracle.{kind}.times[{i}]", source)
     return out

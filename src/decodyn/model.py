@@ -83,7 +83,7 @@ class CouplingFunction:
 
         dQ = 0 returns slope(Qbar), the continuous limit, which keeps
         integrands well defined on the Q1 = Q2 diagonal.  The slope is
-        evaluated at those entries alone; support pairs have none.
+        evaluated at those entries alone.
         """
         qb = np.asarray(qbar, dtype=float)
         d = np.asarray(dq, dtype=float)

@@ -85,6 +85,7 @@ def mc_classical_factor(
     in groups of at most _GROUP_BYTES of phases, one draw each.
     """
     _check_samples(n_samples)
+    times = _times(t)
     dq = q1 - q2
     qbar = 0.5 * (q1 + q2)
     slope = f.slope(qbar)
@@ -93,7 +94,7 @@ def mc_classical_factor(
     lam = dq * slope / hbar
 
     w, m, c = bath.omegas, bath.masses, bath.couplings
-    x = np.multiply.outer(np.atleast_1d(np.asarray(t, dtype=float)), w)
+    x = np.multiply.outer(times, w)
     coef_q = lam * c * np.sin(x) / w
     coef_p = lam * c * _one_minus_cos(x) / (m * w * w)
 
@@ -106,6 +107,14 @@ def mc_classical_factor(
             row += -lam * fbar * float(np.sum(c * c * _x_minus_sin(x[k]) / (m * w**3)))
             estimates.append(_jackknife(row))
     return estimates[0] if np.ndim(t) == 0 else estimates
+
+
+def _times(t) -> np.ndarray:
+    """The oracle times t as a 1-D float array, refused when empty."""
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    if times.size == 0:
+        raise ValueError("t: the time list is empty; an oracle needs at least one time")
+    return times
 
 
 def _check_samples(n_samples: int) -> None:
@@ -197,9 +206,7 @@ def fock_quantum_factor(
     Raises if doubling the truncation shifts any overlap by more than 1e-8.
     """
     _check_single_mode(bath)
-    times = np.atleast_1d(np.asarray(t, dtype=float))
-    if times.size == 0:
-        raise ValueError("t: the time list is empty; the Fock oracle needs at least one time")
+    times = _times(t)
     coarse = _branch_overlap(q1, q2, times, f, bath, fock.n_levels)
     fine = _branch_overlap(q1, q2, times, f, bath, 2 * fock.n_levels)
     drift = float(np.max(np.abs(fine - coarse)))

@@ -101,6 +101,14 @@ def _check_separations(separations, sigma: float) -> list[float]:
     return seps
 
 
+def _check_hbar_factors(hbar_factors) -> list[float]:
+    """The factors as floats, refused when there is none."""
+    factors = [float(x) for x in hbar_factors]
+    if not factors:
+        raise ValueError("hbar_factors: the scan needs at least one factor")
+    return factors
+
+
 def separation_scan(
     f: CouplingFunction,
     separations,
@@ -129,11 +137,12 @@ def hbar_scan(
     scales with hbar, the ratio does not.  Each factor's thermal strength is
     summed from the bath's arrays, the same bytes as thermal_strength of the
     bath rebuilt at that hbar; the integrals are rho0's, summed at most once."""
+    factors = _check_hbar_factors(hbar_factors)
     integrals = _integrals(rho0, f)
     c2, m, w = bath.couplings**2, bath.masses, bath.omegas
     out = []
-    for i, factor in enumerate(hbar_factors):
-        hbar = bath.hbar * float(factor)
+    for i, factor in enumerate(factors):
+        hbar = bath.hbar * factor
         if not 0 < hbar < math.inf:
             raise ValueError(f"hbar_factors[{i}]: hbar * factor must be positive and finite, got {hbar}")
         cb = float(np.sum(_thermal_terms(c2, m, w, _coth(bath.beta, hbar, w))))

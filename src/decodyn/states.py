@@ -164,8 +164,8 @@ _TRACE_TOL = 1e-8
 _DIAG_TOL = 1e-12
 # total weight the entropy and rate quadratures may drop from the grid
 _DROPPED_MASS = 1e-17
-# cells of one row chunk of the pure-state pairing
-_CHUNK_CELLS = 1 << 20
+# candidate rows of one block of the pure-state pairing
+_PAIR_ROWS = 64
 
 
 def _check_trace(tr: float) -> None:
@@ -234,7 +234,7 @@ class DensityMatrixGrid:
         """Mirror pairs of the support of |rho|^2, the quadrature nodes of
         the entropies and rates.
 
-        Returns ``(dq, qbar, w, defect)``: the offset Q1-Q2, the midpoint and
+        Returns ``(i, j, w, defect)``: the int32 lattice indices i < j and
         the summed weight h^2 (|rho|^2 + mirror) of every kept cell above
         the diagonal, in row-major order, and the purity defect
         sum(h^2 |rho|^2) - 1 of the full grid.  Pairs whose summed weight is
@@ -276,13 +276,12 @@ class DensityMatrixGrid:
             w = w + w.T
             i, j = np.nonzero(np.triu(w >= cut, 1))
             w = w[i, j]
+            i, j = i.astype(np.int32), j.astype(np.int32)
         else:
             i, j, w, defect = _pure_pairs(self.psi, self.grid.spacing, cut)
-        q = self.grid.q
-        pairs = q[i] - q[j], 0.5 * (q[i] + q[j]), w
-        for a in pairs:
+        for a in (i, j, w):
             a.flags.writeable = False
-        return *pairs, defect
+        return i, j, w, defect
 
 
 def _pure_cells(psi: np.ndarray, h: float, cut: float):
@@ -296,20 +295,24 @@ def _pure_cells(psi: np.ndarray, h: float, cut: float):
 
 def _pure_pairs(psi: np.ndarray, h: float, cut: float):
     """Pairs i < j of a pure state, whose weight 2 a_i a_j (a = h |psi|^2) is
-    at least cut, in row-major order, with their weights and the defect
-    (sum a)^2 - 1.  Only the candidate cells of _pure_cells can be in a
-    pair, so the rows are taken in chunks over those cells alone."""
+    at least cut, in row-major order, as int32 lattice indices with their
+    weights, and the defect (sum a)^2 - 1.  Only the candidate cells of
+    _pure_cells can be in a pair, so the rows are taken over those cells
+    alone, _PAIR_ROWS at a time, from the diagonal on."""
     a, cells = _pure_cells(psi, h, cut)
     total = float(np.sum(a))
     b = a[cells]
-    step = max(1, _CHUNK_CELLS // b.size)
+    cells = cells.astype(np.int32)
+    # right of the diagonal within a block's first _PAIR_ROWS columns
+    right = ~np.tri(_PAIR_ROWS, dtype=bool)
     i, j, w = [], [], []
-    for r in range(0, b.size, step):
-        prod = 2.0 * b[r : r + step, None] * b[None, r:]
-        keep = np.triu(prod >= cut, 1)
-        rows, cols = np.nonzero(keep)
-        i.append(cells[rows + r])
-        j.append(cells[cols + r])
+    for r in range(0, b.size, _PAIR_ROWS):
+        k = min(_PAIR_ROWS, b.size - r)
+        prod = 2.0 * b[r : r + k, None] * b[None, r:]
+        keep = prod >= cut
+        keep[:, :k] &= right[:k, :k]
+        i.append(np.repeat(cells[r : r + k], np.count_nonzero(keep, axis=1)))
+        j.append(np.broadcast_to(cells[r:], keep.shape)[keep])
         w.append(prod[keep])
     return np.concatenate(i), np.concatenate(j), np.concatenate(w), total * total - 1.0
 

@@ -29,19 +29,61 @@ x = 2 (Q1-Q2)^2 g^2 is exactly symmetric under Q1 <-> Q2 and zero on the
 diagonal, so each cell above the diagonal carries the summed weight of
 itself and its mirror.  The support drops at most 1e-17 of weight, and
 since |expm1(-x b2)| <= 1 that bounds the change in S(t).  For a polynomial
-of degree <= 2 the difference quotient is f'(Qbar) exactly, so ``_decay``
-gives the quantum side the slope and the entropy is evaluated once.
+of degree <= 2 the difference quotient is f'(Qbar) exactly, so the quantum
+side takes the slope (``_takes_slope``) and the entropy is evaluated once.
+
+Each pair is a lattice point (i, j), i < j, of the grid q, so
+``support_field`` reads the coupling from a table over the hull [lo, hi] of
+the support (the smallest and largest index any pair uses), by gathers:
+
+* where g is the slope (the classical side, and both sides when
+  ``quotient_is_slope``), x = 2 ((j - i) h)^2 f'(qbar[i + j])^2, with
+  qbar[s] = (q[floor(s/2)] + q[ceil(s/2)])/2 read at the 2 (hi - lo) + 1
+  midpoints and 2 (k h)^2 at the hi - lo + 1 offsets k;
+* on the quantum side x = 2 (F[i] - F[j])^2, with F = f(q) read at the
+  hi - lo + 1 points: (Q1 - Q2) g is f(Q1) - f(Q2) itself, with no division
+  and no dQ = 0 case.
+
+The tables are elementwise and each pair is a gather, with no BLAS and no
+thread, so x has the same bytes at any core count.
+
+The change against the per-pair formula it replaces, 2 dq^2 g(qbar)^2 with
+dq = fl(q_i - q_j) and qbar = fl((q_i + q_j)/2) (the quotient read f at
+fl(qbar +- dq/2)), to first order in u = 2^-53, on r = sqrt(x/2) = |dq g|
+of a pair.  The grid is numpy's linspace, q_k = fl(fl(k h) + q_min) with
+q_max last and h the spacing, so q_k = q_min + k h + e_k with |e_k| <= 4uM,
+M = max(|q_min|, |q_max|).  So d = fl((j - i) h) and dq differ by at most
+|e_i - e_j| + u |dq| + u |d| <= (8M/h + 2) u |d|, as |d| >= h; each
+midpoint, old or new, lies within 5uM of q_min + s h/2, so the two differ by
+at most 10uM; and the quotient's arguments lie within 3uM of q_i and q_j.
+Forming x takes at most 3u of it, 1.5u of r, on either side, and the
+quotient's division and difference 2u more.  With L1 and L2 bounds on |f'|
+and |f''| over the hull, and eps and eps' on the rounding error of the
+computed f and f' there (Horner's rule of degree k: 2k u sum |c_m| M^m),
+r moves by at most
+
+    (8M/h + 6) u r + |d| (10uM L2 + 2 eps')     where g is the slope,
+    6u r + 6uM L1 + 4 eps                       on the quantum side,
+
+the first term 4.6e-13 of r at the presets' M/h <= 512.  As
+|expm1(-a) - expm1(-b)| <= |a - b| for a, b >= 0, S(t) moves by at most
+b2 sum w |dx| and the rate integral by sum w |dx|, with
+|dx| <= 2 (2r + |dr|) |dr|.  On the presets every pair moved by at most 0.3
+of its bound, S by at most 4.4e-16 and the rates by 1.1e-15 relative; a
+table is read on no point outside the hull, and the probe columns keep
+their bytes (``_coefficients`` evaluates its element per point, as before).
 
 ``entropy_series`` merges pairs of equal x once per side: ``np.unique``
 sorts the distinct x and ``np.bincount`` adds each one's weights in index
 order, whatever order the sort leaves them in, so the bytes do not depend
-on the sort; a linear coupling has about a thousand distinct x among 1e5
-pairs, and all NaN exponents merge into one last entry.  Once per call,
-and from the field alone, the sorted exponents split into anchored blocks:
-a block ends at every 256th exponent, so each head below ends where a block
-starts, and at every bin of ratio 1 + 1/41, so its span is at most 1/40 of
-its first exponent c; an exponent past 1e14 is a block of its own.  At each
-time with 0 < b2 <= 1e14 the exponents split in three:
+on the sort; a linear coupling has one distinct x per lattice offset, a
+few hundred among 1e5 pairs, and all NaN exponents merge into one last
+entry.  Once per call, and from the field alone, the sorted exponents split
+into anchored blocks: a block ends at every 256th exponent, so each head
+below ends where a block starts, and at every bin of ratio 1 + 1/41, so its
+span is at most 1/40 of its first exponent c; an exponent past 1e14 is a
+block of its own.  At each time with 0 < b2 <= 1e14 the exponents split in
+three:
 
 * the head, whole blocks of 256 exponents with x b2 <= 1, is summed as
   sum_{j=1}^{21} (-b2)^j/j! M_j from the blocks' prefix moments
@@ -92,7 +134,7 @@ loop carries at most 48u W of its own (x b2, expm1 and the product, 4u a
 pair; numpy's pairwise sum, at most 44 additions deep for 2^24 pairs) and
 three final roundings, so against it S(t) moves by at most
 W (1/22! + 2^-43 + N 2^-62) + 6u |defect|, about 1.1e-13 on the presets
-(N <= 1607).
+(N <= 1525).
 A rounding lost to underflow moves a term by at most 2^-1075 b2^21
 <= 2.5e-30.  On the eight presets' series S(t) moved by at most 2.2e-16
 against the head-and-loop sums it replaces (3.8e-16 relative), and it stays
@@ -108,9 +150,9 @@ in a dead one, the head's alternating partial sums in [-y, 0]), and on
 either set of weights the series' own rounding (W 710u, the sums'
 (N + 1) 2^-63 W and the final 2u W + u |defect|) is at most
 W (2^-43 + N 2^-62) + u |defect|, so between two orders S(t) moves by at
-most W (2 (m - 1)u + 2^-42 + N 2^-61) + 12u |defect|, 2.9e-13 on the
-linear preset's m = 295.  Against the pairwise reduceat, the presets'
-series moved by at most 1.1e-16, and only where m >= 131.
+most W (2 (m - 1)u + 2^-42 + N 2^-61) + 12u |defect|, 3.0e-13 on the
+linear preset's m = 316.  Against the pairwise reduceat, the presets'
+series move by at most 1.1e-16, and only where m >= 142.
 
 Every sum runs in an order fixed by its own arrays and none uses BLAS or a
 thread: a block's moments and weight depend on its exponents alone, the
@@ -181,12 +223,17 @@ def quotient_is_slope(f: CouplingFunction) -> bool:
     return isinstance(f, PolynomialCoupling) and f.degree <= 2
 
 
+def _takes_slope(f: CouplingFunction, side: str) -> bool:
+    """True when side's weight g is the slope f'(Qbar)."""
+    if side not in ("classical", "quantum"):
+        raise ValueError(f"side must be 'classical' or 'quantum', got {side!r}")
+    return side == "classical" or quotient_is_slope(f)
+
+
 def _decay(f: CouplingFunction, qbar, dq, side: str):
     """(g, (Q1-Q2)^2 g^2): the weight and the decay coefficient of
     log_modulus = -(Q1-Q2)^2 g^2 b2."""
-    if side not in ("classical", "quantum"):
-        raise ValueError(f"side must be 'classical' or 'quantum', got {side!r}")
-    if side == "classical" or quotient_is_slope(f):
+    if _takes_slope(f, side):
         g = f.slope(qbar)
     else:
         g = f.finite_difference(qbar, dq)
@@ -228,12 +275,38 @@ def support_field(rho0: DensityMatrixGrid, f: CouplingFunction, side: str):
 
     Returns ``(w, x, defect)``: the pair weights and purity defect of
     ``rho0.support()`` and the exponent x = 2 (Q1-Q2)^2 g^2 of every pair,
-    evaluated on each call; ``support_integral`` keeps sum(w x) in
-    ``rho0.integrals``.
+    evaluated on each call from per-lattice tables (module docstring);
+    ``support_integral`` keeps sum(w x) in ``rho0.integrals``.
     """
-    dq, qbar, w, defect = rho0.support()
-    _, decay = _decay(f, qbar, dq, side)
-    return w, 2.0 * decay, defect
+    i, j, w, defect = rho0.support()
+    slope = _takes_slope(f, side)
+    if not i.size:
+        return w, np.zeros(0), defect
+    # every pair has i < j in row-major order, so its cells lie in
+    # [i[0], max j]; a table entry below lo is never read and f is evaluated
+    # on the hull alone
+    q, lo, hi = rho0.grid.q, int(i[0]), int(j.max())
+    if slope:
+        # x = 2 ((j - i) h)^2 f'(qbar[i + j])^2, qbar[s] the midpoint of
+        # cells floor(s/2) and ceil(s/2)
+        s = np.arange(2 * lo, 2 * hi + 1)
+        gs = np.zeros(2 * hi + 1)
+        gs[2 * lo :] = f.slope(0.5 * (q[s // 2] + q[(s + 1) // 2]))
+        gs *= gs
+        ds = np.arange(hi - lo + 1) * rho0.grid.spacing
+        ds *= ds
+        ds *= 2.0
+        x = ds[j - i]
+        x *= gs[i + j]
+    else:
+        # x = 2 (f(q_i) - f(q_j))^2
+        fs = np.zeros(hi + 1)
+        fs[lo:] = f.eval(q[lo : hi + 1])
+        x = fs[i]
+        x -= fs[j]
+        x *= x
+        x *= 2.0
+    return w, x, defect
 
 
 def support_integral(rho0: DensityMatrixGrid, f: CouplingFunction, side: str, field=None) -> float:

@@ -524,6 +524,8 @@ def test_non_finite_numbers_rejected(tmp_path, capsys, overrides, field):
         ({"bath": {"modes": [HEAVY_MODE]}, "oracle": {"mc": {"times": [1.0, 10.0]}}}, "bath.modes[0]"),
         # hbar x factor underflows to 0, which the scaled bath refuses
         ({"model": {"hbar": 1e-300}, "scan": {"hbar_factors": [1.0, 1e-300]}}, "scan.hbar_factors[1]"),
+        # an empty list of scan factors
+        ({"scan": {"hbar_factors": []}}, "scan.hbar_factors"),
     ],
 )
 def test_config_errors_name_the_field_once(tmp_path, capsys, overrides, field):

@@ -229,11 +229,12 @@ def preset_states():
 def test_pure_and_dense_support_pair_the_same_cells():
     for _, rho0 in preset_states():
         dense = DensityMatrixGrid(grid=rho0.grid, values=rho0.values, hbar=rho0.hbar)
-        dq, qbar, w, _ = rho0.support()
-        dq_d, qbar_d, w_d, _ = dense.support()
+        i, j, w, _ = rho0.support()
+        i_d, j_d, w_d, _ = dense.support()
         assert w.size == w_d.size == rho0.pair_count() == dense.pair_count()
-        assert dq.tobytes() == dq_d.tobytes()
-        assert qbar.tobytes() == qbar_d.tobytes()
+        assert i.dtype == j.dtype == i_d.dtype == j_d.dtype == np.int32
+        assert i.tobytes() == i_d.tobytes()
+        assert j.tobytes() == j_d.tobytes()
         assert np.max(np.abs(w - w_d) / w_d) <= PAIR_WEIGHT_REL
 
 
@@ -320,6 +321,15 @@ def test_entropy_is_within_an_ulp_of_the_exact_sum_on_every_preset_state():
             assert np.max(np.abs(s - fsum_entropy(rho0, ts, scn.coupling, scn.bath, side))) <= FSUM_ABS
 
 
+def lattice_midpoint(rho0) -> float:
+    """The midpoint of the middle support pair (i, j), as the classical
+    field's slope table holds it: q[s // 2] and q[(s + 1) // 2] halved, s = i + j."""
+    i, j, _, _ = rho0.support()
+    s = int(i[i.size // 2]) + int(j[j.size // 2])
+    q = rho0.grid.q
+    return float(0.5 * (q[s // 2] + q[(s + 1) // 2]))
+
+
 class NanSlopeAt(PolynomialCoupling):
     """f = Q^3 with a NaN slope at one midpoint."""
 
@@ -335,8 +345,7 @@ def test_nan_exponent_is_never_cut_as_dead():
     # a NaN exponent sorts after every finite one, where the dead tail
     # starts; it must still turn S into NaN at every time, as expm1 does
     rho0 = build_density_matrix(SuperpositionState.symmetric_cat(8.0, 0.2))
-    _, qbar, _, _ = rho0.support()
-    f = NanSlopeAt(float(qbar[qbar.size // 2]))
+    f = NanSlopeAt(lattice_midpoint(rho0))
     ts = np.linspace(0.0, 3.0, 9)
     assert np.all(np.isnan(entropy_series(rho0, ts, f, SINGLE, "classical")))
     assert not np.any(np.isnan(entropy_series(rho0, ts, f, SINGLE, "quantum")))
@@ -382,8 +391,7 @@ def test_zero_b2_takes_no_expm1_on_a_finite_field(monkeypatch):
     assert calls == []
     assert math.copysign(1.0, zeros["sine-cat"]) == -1.0
     rho0 = build_density_matrix(SuperpositionState.symmetric_cat(8.0, 0.2))
-    _, qbar, _, _ = rho0.support()
-    f = InfSlopeAt(float(qbar[qbar.size // 2]))
+    f = InfSlopeAt(lattice_midpoint(rho0))
     with np.errstate(invalid="ignore"):
         assert np.isnan(entropy_series(rho0, [0.0], f, SINGLE, "classical")[0])
     assert calls == [0.0]
@@ -492,8 +500,7 @@ def test_head_edge_cases_against_the_expm1_loop():
             s = entropy_series(rho0, tiny, cubic, SINGLE, side)
             assert abs(s[0] - expm1_loop(rho0, tiny, cubic, SINGLE, side)[0]) <= head_bound(rho0, cubic, side)
     # a NaN exponent: NaN at every time on that side, the other side as before
-    _, qbar, _, _ = rho0.support()
-    nan_at = NanSlopeAt(float(qbar[qbar.size // 2]))
+    nan_at = NanSlopeAt(lattice_midpoint(rho0))
     assert np.all(np.isnan(entropy_series(rho0, ts, nan_at, SINGLE, "classical")))
     quantum = entropy_series(rho0, ts, nan_at, SINGLE, "quantum")
     assert np.max(np.abs(quantum - expm1_loop(rho0, ts, nan_at, SINGLE, "quantum"))) <= head_bound(rho0, nan_at, "quantum")
@@ -607,13 +614,14 @@ def _ties(x):
         (SinusoidalCoupling(1.0, 8.0, 0.7), "quantum", 1),
         (QuadraticCoupling(1.0, 0.3), "classical", 2),
         (PolynomialCoupling((0.0, 0.0, 0.0, 1.0)), "quantum", 2),
-        (PolynomialCoupling((0.0, 0.0, 0.0, 1.0)), "classical", 71),
-        (LinearCoupling(1.0), "classical", 400),
+        (PolynomialCoupling((0.0, 0.0, 0.0, 1.0)), "classical", 5),
+        (LinearCoupling(1.0), "classical", 428),
     ],
 )
 def test_merge_gives_the_stable_merge_bytes(f, side, ties):
     # no ties, pairs (mirror midpoints of a symmetric cat), and runs (the
-    # linear exponent depends on Q1-Q2 alone, the cubic slope on Qbar^2);
+    # linear exponent depends on the lattice offset j - i alone, the cubic
+    # slope on Qbar^2);
     # each run's weights add in index order, as a stable merge keeps them
     rho0 = build_density_matrix(SuperpositionState.symmetric_cat(8.0, 0.2))
     w, x, _ = support_field(rho0, f, side)

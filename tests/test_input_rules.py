@@ -4,6 +4,7 @@ config field."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from decodyn.bath import BathSpec, discretize_ohmic
 from decodyn.model import LinearCoupling, ModelConfig, PolynomialCoupling, SinusoidalCoupling, TabulatedCoupling
 from decodyn.oracle import FockConfig, fock_quantum_factor, mc_classical_factor
-from decodyn.rates import rate_pair, separation_scan
+from decodyn.rates import hbar_scan, rate_pair, separation_scan
 from decodyn.states import DensityMatrixGrid, GaussianPacket, GridSpec, SuperpositionState, build_density_matrix
 
 LINEAR = LinearCoupling(1.0)
@@ -59,6 +60,7 @@ def test_non_finite_argument_is_refused_by_name(build, name, bad, data):
 
 
 NON_POSITIVE = st.floats(max_value=0.0) | st.just(math.nan)
+EMPTY = st.sampled_from([[], (), np.array([])])
 
 # the library side of each rule the command line maps to a config field: a
 # strategy of values that break the rule, the call, and the argument named
@@ -87,6 +89,9 @@ RULES = {
         "n_samples",
     ),
     "Fock levels": (st.integers(max_value=7), FockConfig, "n_levels"),
+    # an empty list of scan factors or MC times (test_oracle holds Fock's)
+    "hbar factors": (EMPTY, lambda factors: hbar_scan(CAT, LINEAR, SINGLE, factors), "hbar_factors"),
+    "MC times": (EMPTY, lambda t: mc_classical_factor(2.0, 0.0, t, LINEAR, SINGLE), "t"),
     "Fock single mode": (
         st.integers(2, 5),
         lambda k: fock_quantum_factor(1.0, -1.0, 1.0, LINEAR, BathSpec([1.0] * k, list(range(1, k + 1)), [1.0] * k)),
