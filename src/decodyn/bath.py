@@ -49,7 +49,9 @@ _STREAM_SAMPLES = 4096
 class BathSpec:
     """Immutable bath: per-mode masses, angular frequencies and linear
     coupling strengths, plus the thermal scales beta and hbar.  The three
-    arrays are copied once, as read-only floats; baths compare by identity."""
+    arrays are copied once, as read-only floats; baths compare by identity.
+    A bath whose 1/hbar, coth factors, per-mode weights or
+    thermal_strength / hbar overflow the float range is refused."""
 
     masses: np.ndarray
     omegas: np.ndarray
@@ -75,6 +77,19 @@ class BathSpec:
         if not self.beta > 0:
             raise ValueError(f"beta: must be positive (math.inf for T=0), got {self.beta}")
         _checks.positive(hbar=self.hbar)
+        # numpy would carry an overflowing quantity as inf or NaN into every
+        # series and rate; an error names hbar for 1/hbar, beta for coth, the
+        # mode for its other weights and the couplings for their sum
+        with np.errstate(all="ignore"):
+            if not math.isfinite(1.0 / self.hbar):
+                raise ValueError(f"hbar: 1/hbar overflows the float range at hbar = {self.hbar!r}")
+            for name, values in {"coth": self.coth_factors, **self.mode_weights}.items():
+                bad = np.flatnonzero(~np.isfinite(values))
+                if bad.size:
+                    arg = "beta" if name == "coth" else f"couplings[{bad[0]}]"
+                    raise ValueError(f"{arg}: {name} of mode {bad[0]} overflows the float range")
+            if not math.isfinite(thermal_strength(self) / self.hbar):
+                raise ValueError("couplings: thermal_strength / hbar overflows the float range")
 
     @property
     def n_modes(self) -> int:

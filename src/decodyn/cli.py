@@ -84,7 +84,8 @@ class Scenario:
 # support pairs (DensityMatrixGrid.support()), which grow as m^2 in its m
 # support cells: the state's pairs are counted from psi before any is built,
 # at most _MAX_PAIRS (memory), and times n_steps at most _MAX_PAIR_TIMES (the
-# entropy loop); a separation-scan cat stays far below _MAX_PAIRS (see
+# entropy series' worst case, one expm1 per pair and time, which it reaches
+# only at b2 > 1e14); a separation-scan cat stays far below _MAX_PAIRS (see
 # _check_pairs).
 _MAX_TIME_STEPS = 100_000
 _MAX_BATH_MODES = 100_000
@@ -173,37 +174,17 @@ def _parse_model(cfg: dict) -> ModelConfig:
         return ModelConfig(hbar=hbar, beta=beta)
 
 
-def _overflowing(bath: BathSpec) -> tuple[str, int | None] | None:
-    """The first quantity of bath that overflows the float range, with its
-    mode index if it has one: 1/hbar, coth(beta hbar w / 2), the other
-    per-mode weights, then the rate prefactor thermal_strength / hbar; None
-    if none does.  numpy would carry the inf or NaN into every series and
-    scan (its 0j / 1e-320 is nan+nanj), and into the manifest as invalid
-    JSON."""
-    with np.errstate(all="ignore"):
-        if not math.isfinite(1.0 / bath.hbar):
-            return "1/hbar", None
-        for name, values in {"coth": bath.coth_factors, **bath.mode_weights}.items():
-            bad = np.flatnonzero(~np.isfinite(values))
-            if bad.size:
-                return name, int(bad[0])
-        if not math.isfinite(thermal_strength(bath) / bath.hbar):
-            return "thermal_strength / hbar", None
-    return None
-
-
-def _check_bath(bath: BathSpec, path: str) -> BathSpec:
-    """Refuse a bath with an overflowing quantity, naming model.hbar for
-    1/hbar, model.beta for coth and the mode (or path) for the rest."""
-    over = _overflowing(bath)
-    if over is None:
-        return bath
-    name, mode = over
-    field = {"1/hbar": "model.hbar", "coth": "model.beta"}.get(name, path)
-    if field == "bath.modes" and mode is not None:
-        field = f"bath.modes[{mode}]"
-    where = "" if mode is None else f" of bath mode {mode}"
-    raise ConfigError(f"{field}: {name}{where} overflows the float range")
+@contextmanager
+def _bath_field(path: str, *names: str, **renamed: str):
+    """_field(path, *names, **renamed) around a bath's construction, except
+    that BathSpec's errors on hbar and beta (1/hbar, coth) name the model's
+    field."""
+    try:
+        yield
+    except (ValueError, ArithmeticError) as exc:
+        model = str(exc).startswith(("hbar: ", "beta: "))
+        with _field("model", "hbar", "beta") if model else _field(path, *names, **renamed):
+            raise
 
 
 def _parse_bath(cfg: dict, model: ModelConfig) -> tuple[BathSpec, str]:
@@ -217,9 +198,8 @@ def _parse_bath(cfg: dict, model: ModelConfig) -> tuple[BathSpec, str]:
         n_modes = _get(o, "n_modes", "bath.ohmic", int, required=True)
         if n_modes > _MAX_BATH_MODES:
             raise ConfigError(f"bath.ohmic.n_modes: must be at most {_MAX_BATH_MODES}, got {n_modes}")
-        with _field("bath.ohmic", "eta", "n_modes", "omega_max", omega_cutoff="omega_c"):
-            bath = discretize_ohmic(eta, omega_c, n_modes, omega_max, beta=model.beta, hbar=model.hbar)
-        return _check_bath(bath, "bath.ohmic"), "bath.ohmic"
+        with _bath_field("bath.ohmic", "eta", "n_modes", "omega_max", omega_cutoff="omega_c"):
+            return discretize_ohmic(eta, omega_c, n_modes, omega_max, beta=model.beta, hbar=model.hbar), "bath.ohmic"
     if "modes" in raw:
         masses, omegas, couplings = [], [], []
         for i, entry in enumerate(_get(raw, "modes", "bath", list, required=True)):
@@ -229,9 +209,8 @@ def _parse_bath(cfg: dict, model: ModelConfig) -> tuple[BathSpec, str]:
             masses.append(_get(entry, "m", path, float, default=1.0))
             omegas.append(_get(entry, "omega", path, float, required=True))
             couplings.append(_get(entry, "c", path, float, required=True))
-        with _field("bath", masses="modes", omegas="modes", couplings="modes"):
-            bath = BathSpec(masses, omegas, couplings, beta=model.beta, hbar=model.hbar)
-        return _check_bath(bath, "bath.modes"), "bath.modes"
+        with _bath_field("bath", masses="modes", omegas="modes", couplings="modes"):
+            return BathSpec(masses, omegas, couplings, beta=model.beta, hbar=model.hbar), "bath.modes"
     raise ConfigError("bath: must contain either 'ohmic' or 'modes'")
 
 
@@ -348,15 +327,12 @@ def _parse_scan(cfg: dict, bath: BathSpec) -> dict | None:
         factors = _get_numbers(raw, "hbar_factors", "scan", _MAX_LIST_ENTRIES)
         with _field("scan", "hbar_factors"):
             _check_hbar_factors(factors)
-        # what _overflowing checks falls with hbar (1/hbar, coth, b2, b2_dot,
+        # what BathSpec refuses falls with hbar (1/hbar, coth, b2, b2_dot,
         # thermal_strength and its ratio to hbar), rises (the widths) or does
         # not depend on it (b1), so the smallest and largest factor bound all
         for i in (factors.index(min(factors)), factors.index(max(factors))):
             with _field(f"scan.hbar_factors[{i}]"):
-                scaled = replace(bath, hbar=bath.hbar * factors[i])
-                over = _overflowing(scaled)
-                if over is not None:
-                    raise ValueError(f"{over[0]} overflows the float range at hbar = {scaled.hbar!r}")
+                replace(bath, hbar=bath.hbar * factors[i])
         return {"kind": "hbar", "factors": factors}
     raise ConfigError("scan: must contain 'separations' (+'sigma') or 'hbar_factors'")
 

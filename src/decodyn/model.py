@@ -81,9 +81,11 @@ class CouplingFunction:
     def finite_difference(self, qbar, dq):
         """[f(Qbar + dQ/2) - f(Qbar - dQ/2)] / dQ.
 
-        dQ = 0 returns slope(Qbar), the continuous limit, which keeps
-        integrands well defined on the Q1 = Q2 diagonal.  The slope is
-        evaluated at those entries alone.
+        dQ = 0 returns slope(Qbar), the continuous limit, which keeps the
+        quantum factor of a diagonal element defined: today only a probe
+        at q1 = q2 meets it, as the support field differences f on the
+        lattice and never divides.  The slope is evaluated at those entries
+        alone.
         """
         qb = np.asarray(qbar, dtype=float)
         d = np.asarray(dq, dtype=float)

@@ -82,77 +82,80 @@ entry.  Once per call, and from the field alone, the sorted exponents split
 into anchored blocks: a block ends at every 256th exponent, so each head
 below ends where a block starts, and at every bin of ratio 1 + 1/41, so its
 span is at most 1/40 of its first exponent c; an exponent past 1e14 is a
-block of its own.  At each time with 0 < b2 <= 1e14 the exponents split in
-three:
+block of its own.  Each time takes one of four cases, from what it can
+observe:
 
-* the head, whole blocks of 256 exponents with x b2 <= 1, is summed as
-  sum_{j=1}^{21} (-b2)^j/j! M_j from the blocks' prefix moments
-  M_j = sum w x^j, a table built once per call from the field alone;
+* a NaN exponent: S is NaN at every time, with no sum;
+* b2 = 0: each term is w expm1(-0) = -0, so S = -0 - defect, or NaN where
+  an exponent or a weight is infinite (inf 0 = NaN);
+* 0 < b2 <= 1e14: the blocks, below;
+* b2 > 1e14: one expm1 per live exponent (x b2 < 40), the rest adding
+  minus their summed weight.  A moment's term (-b2)^j a_j would overflow
+  past b2 = 4.8e14 (b2^21 > 1.8e308), and a rounding lost to underflow in
+  a_j, at most 2^-1075, would move it by up to 2^-1075 b2^21: 2.5e-30 at
+  1e14 but 2.5e-9 at 1e15.  Only exponents below 40/b2 < 4e-13 are live
+  there, and no preset reaches it.
+
+At each time with 0 < b2 <= 1e14 the exponents split in three, summed by
+one moment routine (``_moments``: a_j = sum w d^j/j!, j = 1..21, over each
+block) and one Horner rule (``_horner``: sum_j (-b2)^j a_j =
+-b2 (a_1 - b2 (a_2 - ...))):
+
+* the head, whole blocks of 256 exponents with x b2 <= 1, is the Horner sum
+  of d = x moments, prefix-summed over the blocks in extended precision
+  (x86-64's 80-bit long double, unit v = 2^-64) and each rounded once, a
+  table built once per call from the field alone;
 * each live anchored block past the head, c b2 < 40, adds
   expm1(-c b2) (W + Q) + Q, with W its weight and
-  Q = sum w expm1(-(x - c) b2) = sum_{j=1}^{21} (-b2)^j m_j/j! from its
-  anchored moments m_j = sum w (x - c)^j by Horner's rule, over every
-  (time, block) pair at once; (x - c) b2 <= c b2/40 < 1 there;
+  Q = sum w expm1(-(x - c) b2) the Horner sum of its d = x - c moments over
+  every (time, block) pair at once; (x - c) b2 <= c b2/41 < 1 there;
 * each dead block, c b2 >= 40, adds minus its weight, read from one suffix
-  sum of the block weights: past 40, expm1(-x b2) is -1 to within
-  e^-40 = 4.2e-18, which moves S(t) by at most 4.3e-18.
+  sum of the block weights.
 
-Each time adds its block terms, its head and its dead weight in extended
-precision (x86-64's 80-bit long double, unit v = 2^-64) and rounds once.
-A field of fewer than 256 exponents, a field with a NaN exponent and a time
-with b2 outside (0, 1e14] take one expm1 per live exponent instead, the
-rest adding minus their summed weight, as before: b2 = 0 gives
-S = -defect exactly and a NaN exponent keeps S NaN.  A time with b2 = 0
-takes no expm1 when the largest exponent and the defect are finite: each
-term is then w expm1(-0) = -0, and the loop's sum is +0.  Neither an exponent
-nor b2 above 1e14 enters a moment, so no x^21, (x - c)^21 or b2^21
-overflows (a 1e100 Q^3 coupling reaches x = 7e205; its moments are those
-of one-exponent blocks, zero).
+Each time adds its head, block terms and dead weight in extended precision
+and rounds once.  No exponent above 1e14 enters a moment (its block's
+d is 0), so no x^21 or (x - c)^21 overflows (a 1e100 Q^3 coupling reaches
+x = 7e205).  Both parts carry the same 21 terms, so one table layout and
+one Horner loop serve them: the head needs 21, as its remainder is
+y^22/22! at y = x b2 <= 1; a block's remainder enters times e^(-c b2) with
+y <= c b2/41, so 12 terms would keep it below 1/22! (1.2e-22), a cut left
+for a change of the series' speed.
 
-The bound, with u = 2^-53, y = x b2 <= 1 in the head and
-y = (x - c) b2 < 40/41 in an anchored block, to first order in u.  The
-head: the alternating series stops with a remainder of at most
-y^22/22! <= 8.9e-22 per unit weight; w x^j takes j roundings, a block's sum
-at most 255, the prefix one (in extended precision, adding at most v per
-block, 32u at the 2^16 blocks of 2^24 pairs) and Horner's rule at most 3j
-on the term of power j, so the head is within
-W_h [1/22! + (4e + 288 (e - 1)) u] <= W_h (1/22! + 2^-44) of the exact sum
-of w expm1(-x b2) over its pairs, W_h its weight.  An anchored block: the
-series' remainder enters its term times 1 + expm1(-c b2) = e^(-c b2), and
-y <= c b2/41, so it is at most (22/41)^22 e^-22/22! = 2.8e-37 per unit
-weight.  x - c is exact (c <= x <= 2c, Sterbenz), w (x - c)^j takes j
-roundings, a block's sum at most 255 and the division by j! one, and
-Horner's rule at most 2j on the term of power j, so Q is within
-(3e + 256 (e - 1)) u W <= 449u W of its series; with W's own 255u, 3u for
-c b2 and expm1 and 3u for the term, a live block is within
-W (1/22! + 710u) of the exact sum over its pairs, and a dead one within
-W (e^-40 + 255u).  A time's sum of at most N block terms (N the number of
-blocks, at most the number of distinct exponents), its head and the suffix
-sum of at most N weights add at most (N + 1) 2^-63 W; the rounding to a
-double and the final subtraction add 2u W + u |defect|.  The per-exponent
-loop carries at most 48u W of its own (x b2, expm1 and the product, 4u a
-pair; numpy's pairwise sum, at most 44 additions deep for 2^24 pairs) and
-three final roundings, so against it S(t) moves by at most
-W (1/22! + 2^-43 + N 2^-62) + 6u |defect|, about 1.1e-13 on the presets
-(N <= 1525).
+The bound, against the exact sum S = -sum w expm1(-x b2) - defect over
+every pair of the field, unmerged, with u = 2^-53, W = sum w, m the largest
+group of equal exponents and N the number of blocks (at most the number of
+distinct exponents), to first order in u:
+
+    |S(t) - exact| <= W ((m - 1) u + 1/22! + 2^-43 + N 2^-62) + u |defect|.
+
+Its parts: a merged weight is within (m - 1)u of its group's sum, and
+enters with a factor in [-1, 0].  In the head, y = x b2 <= 1, the
+alternating series' remainder is at most y^22/22! <= 8.9e-22 a unit
+weight; the term of power j takes j roundings for w x^j, at most 255 for
+the block's sum, one for the division by j!, one for the prefix's rounding
+to a double (its extended sum adding at most v a block, 32u at the 2^16
+blocks of 2^24 pairs) and 2j for Horner's rule, so the head is within
+W_h [1/22! + (3e + 289 (e - 1)) u] <= W_h (1/22! + 2^-44), W_h its
+weight.  In an anchored block x - c is exact (c <= x <= 2c, Sterbenz), the
+remainder is at most (22/41)^22 e^-22/22! = 2.8e-37 a unit weight, and the
+same count without the prefix puts Q within (3e + 256 (e - 1)) u W
+<= 449u W of its series; with W's own 255u, 3u for c b2 and expm1 and 3u
+for the term, a live block is within W (1/22! + 710u), and a dead one
+within W (e^-40 + 255u): past 40, expm1(-x b2) is -1 to within
+e^-40 = 4.2e-18.  Past 1e14 a live exponent's x b2, expm1 and product take
+3u and numpy's pairwise sums at most 44 additions for 2^24 pairs, so that
+time is within 48u W.  A time's sum of at most N block terms, its head and
+a suffix of at most N weights in extended precision add (N + 1) 2^-63 W,
+and the rounding to a double and the final subtraction 2u W + u |defect|.
 A rounding lost to underflow moves a term by at most 2^-1075 b2^21
-<= 2.5e-30.  On the eight presets' series S(t) moved by at most 2.2e-16
-against the head-and-loop sums it replaces (3.8e-16 relative), and it stays
-within 2.2e-16 of a math.fsum over every pair.
-
-The merge's bound, with m the largest group of equal exponents: any order
-of adding a group's nonnegative weights is within (m - 1)u of their sum W_g
-to first order in u, so the index order and any other (numpy's pairwise
-add.reduceat of a sorted field, say) differ by at most 2 (m - 1)u W_g.
-Each merged weight enters S with a factor in [-1, 0] (expm1 for one
-exponent, e^(-c b2) (1 + expm1(-(x - c) b2)) - 1 in an anchored block, -1
-in a dead one, the head's alternating partial sums in [-y, 0]), and on
-either set of weights the series' own rounding (W 710u, the sums'
-(N + 1) 2^-63 W and the final 2u W + u |defect|) is at most
-W (2^-43 + N 2^-62) + u |defect|, so between two orders S(t) moves by at
-most W (2 (m - 1)u + 2^-42 + N 2^-61) + 12u |defect|, 3.0e-13 on the
-linear preset's m = 316.  Against the pairwise reduceat, the presets'
-series move by at most 1.1e-16, and only where m >= 142.
+<= 2.5e-30.  On the presets the bound is at most 1.5e-13 (linear, m = 316;
+N <= 1525); at every preset time S is within 1.1e-16 of a math.fsum over
+every pair, and it moved by at most 2.2e-16 against the three sums it
+replaces (prefix moments, anchored moments and a per-exponent loop for
+fields under 256 exponents).  Between two orders of the merge (numpy's
+pairwise add.reduceat of a sorted field, say) the same reasoning gives
+W (2 (m - 1)u + 2^-42 + N 2^-61) + 2u |defect|; the presets' series move by
+at most 1.1e-16 that way, and only where m >= 142.
 
 Every sum runs in an order fixed by its own arrays and none uses BLAS or a
 thread: a block's moments and weight depend on its exponents alone, the
@@ -186,15 +189,13 @@ __all__ = [
 # S(t) by at most 4.3e-18, below the 1e-17 of weight the support drops.
 _DEAD = 40.0
 # The head (module docstring): blocks of _HEAD_BLOCK sorted exponents with
-# x b2 <= _HEAD_Y, summed from _HEAD_TERMS moments; past _HEAD_LIMIT neither
-# an exponent nor b2 joins it.  Below 1e14 no x^21 or b2^21 overflows, and a
-# power lost to underflow leaves a term below 1e-33.
+# x b2 <= _HEAD_Y; the head and the anchored blocks take _HEAD_TERMS
+# moments.  No exponent past _HEAD_LIMIT enters a moment, and a b2 past it
+# takes one expm1 per live exponent.
 _HEAD_Y = 1.0
 _HEAD_TERMS = 21
 _HEAD_BLOCK = 256
 _HEAD_LIMIT = 1e14
-# blocks per pass of the moment table's build
-_MOMENT_CHUNK = 64
 # An anchored block (module docstring) ends at each bin of ratio 1 + 1/41
 # of the exponents, bin floor(log(x) _PER_LOG), so while c b2 < _DEAD for its
 # first exponent c, its span times b2 is below 40/41.
@@ -336,42 +337,29 @@ def _merged(w, x):
     return xu, np.bincount(inv, weights=w)
 
 
-def _prefix_moments(xu, wu, blocks: int) -> np.ndarray:
-    """Row m <= blocks holds sum w x^j, j = 1.._HEAD_TERMS, over the first m
-    blocks of _HEAD_BLOCK exponents; row m depends on those blocks alone."""
-    table = np.zeros((blocks + 1, _HEAD_TERMS))
-    buf = np.empty(min(blocks, _MOMENT_CHUNK) * _HEAD_BLOCK)
-    for lo in range(0, blocks, _MOMENT_CHUNK):
-        hi = min(lo + _MOMENT_CHUNK, blocks)
-        x = xu[lo * _HEAD_BLOCK : hi * _HEAD_BLOCK].reshape(hi - lo, _HEAD_BLOCK)
-        p = buf[: x.size].reshape(x.shape)
-        np.copyto(p, wu[lo * _HEAD_BLOCK : hi * _HEAD_BLOCK].reshape(x.shape))
-        for j in range(_HEAD_TERMS):
-            p *= x  # w x^(j+1)
-            # numpy's pairwise sum of each block's row, in a fixed order
-            np.add.reduce(p, axis=1, out=table[lo + 1 : hi + 1, j])
-    # the running sum in extended precision, each row rounded once
-    return np.cumsum(table, axis=0, dtype=np.longdouble).astype(float)
+def _moments(d, w, starts) -> np.ndarray:
+    """Row j holds sum w d^(j+1)/(j+1)! over each block of d, block k from
+    starts[k] to the next start or the end; each column depends on its block
+    alone."""
+    p = w.copy()
+    table = np.empty((_HEAD_TERMS, starts.size))
+    for j in range(_HEAD_TERMS):
+        p *= d  # w d^(j+1)
+        # each block's sum, in an order fixed by the block alone
+        np.add.reduceat(p, starts, out=table[j])
+        table[j] /= _FACTORIALS[j]
+    return table
 
 
-def _head(xu, wu, b2s):
-    """Per time, the end of the head and its sum of w expm1(-x b2)."""
-    blocks = np.zeros(b2s.size, dtype=np.intp)
-    on = (b2s > 0.0) & (b2s <= _HEAD_LIMIT)
-    with np.errstate(over="ignore"):  # a subnormal b2 cuts at inf
-        cut = np.minimum(_HEAD_Y / b2s[on], _HEAD_LIMIT)
-    blocks[on] = np.searchsorted(xu, cut, side="right") // _HEAD_BLOCK
-    sums = np.zeros(b2s.size)
-    on = np.flatnonzero(blocks)
-    if on.size:
-        # a time reads the same row however far the table is built
-        m, b = _prefix_moments(xu, wu, int(blocks.max()))[blocks[on]], b2s[on]
-        # Horner's rule: sum_j (-b)^j/j! M_j = -b (M_1 - b/2 (M_2 - b/3 (...)))
-        t = m[:, -1]
-        for j in range(_HEAD_TERMS - 1, 0, -1):
-            t = m[:, j - 1] - b / (j + 1) * t
-        sums[on] = -b * t
-    return blocks * _HEAD_BLOCK, sums
+def _horner(moments, k, b):
+    """sum_j (-b)^j a_j with a_j = moments[j-1, k], by Horner's rule:
+    -b (a_1 - b (a_2 - b (...)))."""
+    q = moments[-1].take(k)
+    for row in moments[-2::-1]:
+        q *= b
+        np.subtract(row.take(k), q, out=q)
+    q *= -b
+    return q
 
 
 def _blocks(xu) -> np.ndarray:
@@ -391,42 +379,38 @@ def _blocks(xu) -> np.ndarray:
     return np.flatnonzero(first)
 
 
-def _anchored_moments(xu, wu, starts) -> np.ndarray:
-    """Row j holds sum w (x - c)^(j+1)/(j+1)! over each block, c its first
-    exponent; each column depends on its block alone."""
-    a, b = starts[0], starts[-1]
-    # exact: within a block c <= x <= 2c (Sterbenz)
-    d = xu[a:b] - np.repeat(xu[starts[:-1]], np.diff(starts))
-    p = wu[a:b].copy()
-    table = np.empty((_HEAD_TERMS, starts.size - 1))
-    for j in range(_HEAD_TERMS):
-        p *= d  # w (x - c)^(j+1)
-        # each block's sum, in an order fixed by the block alone
-        np.add.reduceat(p, starts[:-1] - a, out=table[j])
-        table[j] /= _FACTORIALS[j]
-    return table
-
-
 def _block_sums(xu, wu, b2s):
     """Per time, with 0 < b2 <= _HEAD_LIMIT, the sum of w expm1(-x b2) over
-    every exponent: the head from its prefix moments, each live block from
-    its anchored moments and each dead block as minus its weight."""
+    every exponent: the head and each live block from their moments, each
+    dead block as minus its weight."""
     starts = _blocks(xu)
-    ends, heads = _head(xu, wu, b2s)
-    # every head ends where a block starts
-    lo = np.searchsorted(starts, ends)
-    with np.errstate(over="ignore"):  # a subnormal b2 cuts at inf
+    # a subnormal b2 cuts at inf, and fmin cuts a NaN one at _HEAD_LIMIT
+    with np.errstate(over="ignore"):
+        heads = np.searchsorted(xu, np.fmin(_HEAD_Y / b2s, _HEAD_LIMIT), side="right") // _HEAD_BLOCK
         hi = np.searchsorted(xu[starts[:-1]], _DEAD / b2s)
+    sums = np.zeros(b2s.size, dtype=np.longdouble)
+    on = np.flatnonzero(heads)
+    if on.size:
+        end = int(heads.max()) * _HEAD_BLOCK
+        # the running sum in extended precision, each entry rounded once: a
+        # time reads the same prefix however far the table is built
+        moments = _moments(xu[:end], wu[:end], np.arange(0, end, _HEAD_BLOCK))
+        prefix = np.cumsum(moments, axis=1, dtype=np.longdouble).astype(float)
+        sums[on] = _horner(prefix, heads[on] - 1, b2s[on])
+    # every head ends where a block starts
+    lo = np.searchsorted(starts, heads * _HEAD_BLOCK)
     weights = np.add.reduceat(wu, starts[:-1])
     # dead[k]: the weight of blocks k.., added in extended precision from the last
     dead = np.zeros(starts.size, dtype=np.longdouble)
     np.cumsum(weights[::-1], dtype=np.longdouble, out=dead[-2::-1])
-    sums = np.zeros(b2s.size, dtype=np.longdouble)
     counts = hi - lo
     if counts.any():
         first, last = int(lo[counts > 0].min()), int(hi[counts > 0].max())
-        moments = _anchored_moments(xu, wu, starts[first : last + 1])
         anchors, weights = xu[starts[first:last]], weights[first:last]
+        span = slice(starts[first], starts[last])
+        # exact: within a block c <= x <= 2c (Sterbenz)
+        d = xu[span] - np.repeat(anchors, np.diff(starts[first : last + 1]))
+        moments = _moments(d, wu[span], starts[first:last] - starts[first])
         # times in chunks of about _PAIR_CHUNK (time, block) pairs
         offsets = np.cumsum(counts) - counts
         chunks = np.flatnonzero(np.diff(offsets // _PAIR_CHUNK, prepend=-1))
@@ -435,24 +419,19 @@ def _block_sums(xu, wu, b2s):
             at = offsets[t0:t1] - offsets[t0]
             blk = np.arange(int(n.sum())) + np.repeat(lo[t0:t1] - first - at, n)
             b = np.repeat(b2s[t0:t1], n)
-            # Horner's rule: Q = sum_j (-b)^j a_j = -b (a_1 - b (a_2 - b (...)))
-            q = moments[-1].take(blk)
-            for j in range(_HEAD_TERMS - 2, -1, -1):
-                q *= b
-                np.subtract(moments[j].take(blk), q, out=q)
-            q *= -b
+            q = _horner(moments, blk, b)
             # sum w expm1(-x b) = expm1(-c b) (W + Q) + Q over a block
             e = np.expm1(-(anchors.take(blk) * b))
             term = e * (weights.take(blk) + q) + q
             nz = np.flatnonzero(n)
-            sums[t0 + nz] = np.add.reduceat(term, at[nz], dtype=np.longdouble)
-    return (sums + heads - dead[hi]).astype(float)
+            sums[t0 + nz] += np.add.reduceat(term, at[nz], dtype=np.longdouble)
+    return (sums - dead[hi]).astype(float)
 
 
-def _loop_sum(xu, wu, b: float, nan: bool) -> float:
-    """The sum of w expm1(-x b) with one expm1 per live exponent."""
-    # a Python float: a subnormal b2 cuts at inf, with no overflow error
-    k = xu.size if nan or not b > 0 else int(np.searchsorted(xu, _DEAD / b))
+def _loop_sum(xu, wu, b: float) -> float:
+    """The sum of w expm1(-x b) with one expm1 per live exponent, for a b
+    past _HEAD_LIMIT."""
+    k = int(np.searchsorted(xu, _DEAD / b))
     live = np.expm1(xu[:k] * -b) * wu[:k]
     # each dead pair adds -w in place of its expm1 w
     return live.sum() - wu[k:].sum()
@@ -465,27 +444,27 @@ def entropy_series(rho0: DensityMatrixGrid, times, f: CouplingFunction, bath: Ba
     Evaluated through expm1 so the quadratic small-time growth keeps full
     relative accuracy, with the quadrature purity defect subtracted to pin
     S(0) = 0 exactly for pure states.  Pairs of equal x are merged; at each
-    time the head blocks x b2 <= _HEAD_Y are summed from their prefix
-    moments, each live block from its anchored moments, and each dead block
-    adds minus its weight.  Fills the rate memo (``support_integral``) on
-    the way.
+    time with 0 < b2 <= _HEAD_LIMIT the head blocks x b2 <= _HEAD_Y and each
+    live block are summed from their moments, and each dead block adds minus
+    its weight (module docstring).  Fills the rate memo
+    (``support_integral``) on the way.
     """
     w, x, defect = support_field(rho0, f, side)
     support_integral(rho0, f, side, (w, x))
     xu, wu = _merged(w, x)
-    # a NaN exponent sorts last, where the cut would count it as dead
-    nan = xu.size > 0 and np.isnan(xu[-1])
     b2s = np.atleast_1d(np.asarray(b2(bath, np.asarray(times, dtype=float))))
-    # fewer exponents than a block, a NaN exponent and a b2 outside
-    # (0, _HEAD_LIMIT] take an expm1 per live exponent
-    blocked = (b2s > 0.0) & (b2s <= _HEAD_LIMIT) & (xu.size >= _HEAD_BLOCK) & (not nan)
-    # at b2 = 0 each term is w expm1(-0) = -0 and the loop's sum is +0,
-    # unless an exponent is inf or NaN (inf 0 = NaN) or a weight is inf
-    # (then so is the defect)
-    zero = (b2s == 0.0) & (xu.size == 0 or np.isfinite(xu[-1])) & np.isfinite(defect)
+    # a NaN exponent sorts last; expm1 would carry it into every time
+    if xu.size and np.isnan(xu[-1]):
+        return np.full(b2s.shape, np.nan)
+    zero, loop = b2s == 0.0, b2s > _HEAD_LIMIT
+    # at b2 = 0 each term is w expm1(-0) = -0 and their sum is +0, unless an
+    # exponent is inf (inf 0 = NaN) or a weight is (then so is the defect)
     totals = np.zeros(b2s.shape)
-    for i in np.flatnonzero(~blocked & ~zero):
-        totals[i] = _loop_sum(xu, wu, float(b2s[i]), nan)
+    if not ((xu.size == 0 or np.isfinite(xu[-1])) and np.isfinite(defect)):
+        totals[zero] = np.nan
+    for i in np.flatnonzero(loop):
+        totals[i] = _loop_sum(xu, wu, float(b2s[i]))
+    blocked = ~zero & ~loop
     if blocked.any():
         totals[blocked] = _block_sums(xu, wu, b2s[blocked])
     return -totals - defect

@@ -370,16 +370,16 @@ class InfSlopeAt(NanSlopeAt):
 
 
 def test_zero_b2_takes_no_expm1_on_a_finite_field(monkeypatch):
-    # at b2 = 0 each term is w expm1(-0) = -0 and the loop's sum is +0, so
-    # every preset state skips the loop at t = 0 and keeps the loop's bytes:
+    # at b2 = 0 each term is w expm1(-0) = -0 and their sum is +0, so every
+    # preset state takes no sum at t = 0 and keeps the loop's bytes:
     # S(0) = -0 where the defect is 0, as on sine-cat.  An infinite
-    # exponent still takes the loop, where inf 0 = NaN keeps S(0) NaN.
+    # exponent takes no sum either, and inf 0 = NaN keeps S(0) NaN.
     calls = []
     loop = strongdec._loop_sum
 
-    def counted(xu, wu, b, nan):
+    def counted(xu, wu, b):
         calls.append(b)
-        return loop(xu, wu, b, nan)
+        return loop(xu, wu, b)
 
     monkeypatch.setattr(strongdec, "_loop_sum", counted)
     zeros = {}
@@ -394,7 +394,7 @@ def test_zero_b2_takes_no_expm1_on_a_finite_field(monkeypatch):
     f = InfSlopeAt(lattice_midpoint(rho0))
     with np.errstate(invalid="ignore"):
         assert np.isnan(entropy_series(rho0, [0.0], f, SINGLE, "classical")[0])
-    assert calls == [0.0]
+    assert calls == []
 
 
 @given(rho0=cat_states(), f=couplings, bath=st.sampled_from([SINGLE, OHMIC]), t_max=st.floats(0.5, 8.0))
@@ -516,13 +516,16 @@ def test_head_edge_cases_against_the_expm1_loop():
             assert np.max(np.abs(s - expm1_loop(rho0, t, steep, SINGLE, side))) <= head_bound(rho0, steep, side)
 
 
-def test_fewer_exponents_than_a_block_keep_the_loop_bytes():
+def test_fewer_exponents_than_a_block_stay_within_the_block_bound():
+    # a field smaller than one block has no head: every exponent is in an
+    # anchored block or a dead one
     rho0 = build_density_matrix(SuperpositionState.symmetric_cat(4.0, 0.5), grid=GridSpec(-8.0, 8.0, 24))
     f = SinusoidalCoupling(1.0, 3.0, 0.2)
     ts = np.linspace(0.0, 5.0, 11)
     for side in SIDES:
         assert support_field(rho0, f, side)[0].size < strongdec._HEAD_BLOCK
-        assert entropy_series(rho0, ts, f, OHMIC, side).tobytes() == expm1_loop(rho0, ts, f, OHMIC, side).tobytes()
+        s = entropy_series(rho0, ts, f, OHMIC, side)
+        assert np.max(np.abs(s - expm1_loop(rho0, ts, f, OHMIC, side))) <= block_bound(rho0, f, side)
 
 
 def block_bound(rho0, f, side):
@@ -598,6 +601,39 @@ def test_steep_couplings_run_within_the_block_bound(coefficients, t_live, short,
         assert np.all(np.isfinite(s))
         loop = expm1_loop(rho0, scn.times, scn.coupling, scn.bath, side)
         assert np.max(np.abs(s - loop)) <= block_bound(rho0, scn.coupling, side)
+
+
+def test_b2_past_the_moment_limit_takes_the_loop(monkeypatch):
+    # c = 1e8 on one mode gives b2 = 5e15 (1 - cos t): 2.3e15-9.9e15 at
+    # t = 1-3, past the 1e14 up to which a moment's b2^21 neither overflows
+    # nor loses more than 2.5e-30 to underflow; those times take one expm1
+    # per live exponent, the same bytes as the loop, and the earlier times
+    # in the same call take the blocks
+    strong = BathSpec([1.0], [1.0], [1e8])
+    rho0 = build_density_matrix(SuperpositionState.symmetric_cat(4.0, 0.5))
+    f = PolynomialCoupling((0.0, 0.0, 0.0, 1e-7))
+    ts = np.array([0.0, 0.02, 0.05, 0.1, 0.2, 1.0, 2.0, 3.0])
+    b2s = b2(strong, ts)
+    past = b2s > 1e14
+    assert past.tolist() == [False] * 5 + [True] * 3
+    calls = []
+    loop = strongdec._loop_sum
+
+    def counted(xu, wu, b):
+        calls.append(b)
+        return loop(xu, wu, b)
+
+    monkeypatch.setattr(strongdec, "_loop_sum", counted)
+    for side in SIDES:
+        calls.clear()
+        s = entropy_series(rho0, ts, f, strong, side)
+        want = expm1_loop(rho0, ts, f, strong, side)
+        assert s[past].tobytes() == want[past].tobytes()
+        assert np.max(np.abs(s[~past] - want[~past])) <= block_bound(rho0, f, side)
+        assert calls == b2s[past].tolist()
+        # some exponents are live at the loop's times, and some dead
+        _, x, _ = support_field(rho0, f, side)
+        assert 0 < np.count_nonzero(x * b2s[-1] < 40.0) < x.size
 
 
 def _ties(x):

@@ -89,6 +89,20 @@ RULES = {
         "n_samples",
     ),
     "Fock levels": (st.integers(max_value=7), FockConfig, "n_levels"),
+    # finite arguments whose 1/hbar, coth factor, a mode's weight or the
+    # rate prefactor thermal_strength / hbar overflow the float range
+    "overflowing 1/hbar": (st.floats(0.0, 5e-309).filter(bool), lambda h: BathSpec([1.0], [1.0], [1.0], hbar=h), "hbar"),
+    "overflowing coth": (st.floats(0.0, 1e-308).filter(bool), lambda b: BathSpec([1.0], [1.0], [1.0], beta=b), "beta"),
+    "overflowing mode weight": (
+        st.floats(1e155, 1e300) | st.floats(-1e300, -1e155),
+        lambda c: BathSpec([1.0, 1.0], [1.0, 2.0], [1.0, c]),
+        "couplings[1]",
+    ),
+    "overflowing thermal strength": (
+        st.integers(3, 5),
+        lambda k: BathSpec([1.0] * k, [1.0] * k, [1.2e154] * k),
+        "couplings",
+    ),
     # an empty list of scan factors or MC times (test_oracle holds Fock's)
     "hbar factors": (EMPTY, lambda factors: hbar_scan(CAT, LINEAR, SINGLE, factors), "hbar_factors"),
     "MC times": (EMPTY, lambda t: mc_classical_factor(2.0, 0.0, t, LINEAR, SINGLE), "t"),
