@@ -41,8 +41,22 @@ __all__ = [
 # Per-substream sample granularity of the sampler's contract: sample index i
 # is always drawn from SFC64 substream i // _STREAM_SAMPLES (the stream spawned
 # from seed with that spawn key) at row i % _STREAM_SAMPLES, so any partition
-# of the index range over workers reproduces the same draws.
+# of the index range over workers reproduces the same draws.  A worker draws
+# and projects a substream in chunks of _chunk_rows(n_modes) rows, each at
+# most _CHUNK_BYTES of normals where four rows fit in it.
 _STREAM_SAMPLES = 4096
+_CHUNK_BYTES = 512 * 1024
+
+
+def _chunk_rows(n_modes: int) -> int:
+    """Rows of one chunk of a substream: the largest power of two, at least
+    4 and at most _STREAM_SAMPLES, whose 2 n_modes normals a row take at
+    most _CHUNK_BYTES.  A power of two of at least 4 divides the substream
+    and keeps every row at the same offset mod 4 as in the whole substream."""
+    rows = _STREAM_SAMPLES
+    while rows > 4 and rows * 2 * n_modes * 8 > _CHUNK_BYTES:
+        rows //= 2
+    return rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,12 +232,16 @@ def thermal_sample_block(bath: BathSpec, seed: int, start: int, count: int, proj
     Returns theta, of shape (count,) or (k, count), whose row j holds
     q @ coef_q[j] + p @ coef_p[j] per sample.  Sample i is row i % 4096 of
     the (4096, 2 n_modes) normals z of Generator(SFC64(SeedSequence(seed,
-    spawn_key=(i // 4096,)))), with (q, p) = z * [q_std, p_std]; its phase
-    is that row of the whole substream's product z @ hstack((coef_q * q_std,
-    coef_p * p_std)), so theta's bytes depend on (seed, index) alone: never
+    spawn_key=(i // 4096,)))), with (q, p) = z * [q_std, p_std].  The
+    substream is drawn in chunks of c rows, the largest power of two from 4
+    to 4096 whose normals fit in 512 KiB, and sample i's phase is row
+    i % c of the product of its whole chunk with hstack((coef_q * q_std,
+    coef_p * p_std)).  As c divides 4096 and is a multiple of 4, that row
+    takes the BLAS kernel it takes in the whole substream's product, so
+    theta's bytes depend on (seed, index) alone: never on the chunk size,
     on how the index range is partitioned, nor on how many threads fill it.
-    Worker r of W draws substreams r, r + W, ... into one reused buffer; no
-    (count, 2 n_modes) block is formed.
+    Worker r of W draws substreams r, r + W, ... into one reused chunk
+    buffer; no (count, 2 n_modes) block is formed.
     """
     if count < 0 or start < 0:
         raise ValueError("start and count must be nonnegative")
@@ -235,27 +253,32 @@ def thermal_sample_block(bath: BathSpec, seed: int, start: int, count: int, proj
     # the widths ride on the coefficients, so each time is one product of raw normals
     coefs = np.hstack((coef_q * weights["q_std"], coef_p * weights["p_std"]))
     theta = np.empty((coefs.shape[0], count))
+    rows = _chunk_rows(bath.n_modes)
 
     def fill(stream: int, buf: np.ndarray) -> None:
         gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(stream,))))
         s0 = stream * _STREAM_SAMPLES
         lo, hi = max(start, s0), min(start + count, s0 + _STREAM_SAMPLES)
-        # the substream's normals come in row order: the rows before lo are
-        # drawn too, and only the range's rows are read
-        gen.standard_normal(out=buf[: hi - s0])
-        # sample i is projected at row i % 4096 of a 4096-row product whatever
-        # the range: BLAS takes the last (rows mod 4) rows of a product by
-        # another kernel, so a product over the range's rows alone would not
-        # have the same bytes for every range
-        for j, row in enumerate(coefs):
-            theta[j, lo - start : hi - start] = (buf @ row)[lo - s0 : hi - s0]
+        # the substream's normals come in row order: the chunks before lo
+        # are drawn too, and only the range's rows are read
+        for c0 in range(s0, hi, rows):
+            gen.standard_normal(out=buf[: min(rows, hi - c0)])
+            if c0 + rows <= lo:
+                continue
+            # sample i is projected at row i % rows of a whole chunk's
+            # product whatever the range: BLAS takes the last (rows mod 4)
+            # rows of a product by another kernel, so a product over the
+            # range's rows alone would not have the same bytes for every range
+            a, b = max(lo, c0), min(hi, c0 + rows)
+            for j, row in enumerate(coefs):
+                theta[j, a - start : b - start] = (buf @ row)[a - c0 : b - c0]
 
     # one hand-off a call, as numpy's normal fill and BLAS release the GIL;
     # one-mode rows break even at two substreams and gain from four on
     step = max(1, min(_pool.WORKERS, len(streams)))
 
     def worker(r: int) -> None:
-        buf = np.zeros((_STREAM_SAMPLES, 2 * bath.n_modes))
+        buf = np.zeros((rows, 2 * bath.n_modes))
         for stream in streams[r::step]:
             fill(stream, buf)
 

@@ -77,7 +77,8 @@ class Scenario:
 # Sizes read from a config are capped before anything is allocated: the
 # kernels b1, b2 and b2_dot each build an n_steps x n_modes array, the MC
 # oracle the n_samples phases of a group of times (64 MB, or one time) and
-# one 4096 x 2 n_modes buffer per sampling thread, the Fock oracle dense
+# one chunk of at most 512 KiB of normals per sampling thread, so
+# _MAX_MC_MODES bounds the draw's time, not its memory; the Fock oracle dense
 # (2 n_levels)^2 matrices, and every state grid its 1-D arrays of n_points.  Each entry of an oracle times list costs one oracle
 # evaluation and each scan point one rate pair, so those lists hold at most
 # _MAX_LIST_ENTRIES.  The entropy and rate quadratures run over a state's
@@ -565,6 +566,12 @@ def run_scenario(source, out_dir=".", seed: int | None = None) -> dict:
             records = None if scn.oracle is None else _oracle_records(scn, run_seed)
         except (FloatingPointError, OverflowError) as exc:
             raise ConfigError(f"coupling: the run's exponents or phases overflow the float range ({exc})") from exc
+        except ValueError as exc:
+            # the library's refusal of a time at which a bath kernel overflows
+            head, _, rest = str(exc).partition(": ")
+            if head != "times":
+                raise
+            raise ConfigError(f"time.t_max: {rest}") from exc
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -426,24 +426,40 @@ def wigner_transform(rho: DensityMatrixGrid) -> WignerGrid:
     """Fourier transform along the off-diagonal coordinate at fixed midpoint,
     normalized by 1/(2 pi hbar) so the roundtrip with inverse_wigner is the
     identity.  rho is Hermitian, so a Hermitian FFT of its offsets k >= 0
-    gives the real W; on an even grid the offset k = n/2 is off the matrix."""
+    gives the real W; on an even grid the offset k = n/2 is off the matrix.
+    Each pool task forms the lag products of its own block of rows, so no
+    n x (n/2 + 1) array of them is held."""
     n = rho.grid.n_points
     h = rho.grid.spacing
     hbar = rho.hbar
     psi = rho.psi
-    # column k holds rho[i+k, i-k] at midpoint i: the matrix diagonal at
-    # offset -2k, read straight from psi for a pure state
-    v = np.zeros((n, n // 2 + 1), dtype=complex)
-    for k in range((n + 1) // 2):
-        d = 2 * k
-        v[k : n - k, k] = np.diagonal(rho.values, -d) if psi is None else psi[d:] * psi[: n - d].conj()
+    half = n // 2
+    # windows[half + i, k] = psi[i + k] and windows[i, half - k] = psi[i - k]:
+    # views of psi zero-padded by half on each side
+    if psi is not None:
+        padded = np.zeros(n + 2 * half, dtype=complex)
+        padded[half : half + n] = psi
+        windows = np.lib.stride_tricks.sliding_window_view(padded, half + 1)
+    else:
+        flat = rho.values.reshape(-1)
+    k = np.arange(half + 1)
     w = np.empty((n, n))
     scale = h / (np.pi * hbar)
 
     def transform(rows: slice) -> None:
+        # row i, column k holds rho[i+k, i-k] at midpoint i: the matrix
+        # diagonal at offset -2k, psi[i+k] conj(psi[i-k]) for a pure state;
+        # the cells off the matrix are +0
+        i = np.arange(rows.start, rows.stop)[:, None]
+        off = k > np.minimum(i, n - 1 - i)
+        if psi is None:
+            block = np.take(flat, np.where(off, 0, (i + k) * n + i - k))
+        else:
+            block = np.conjugate(windows[rows, ::-1])
+            np.multiply(windows[half + rows.start : half + rows.stop], block, out=block)
+        block[off] = 0
         # hfft(v) is irfft(conj(v), norm="forward"), and only irfft writes
         # into out=; FFT index l - n//2 is the centred momentum index l
-        block = v[rows]
         np.conjugate(block, out=block)
         f = np.fft.irfft(block, n, axis=1, norm="forward")
         np.multiply(f[:, : n - n // 2], scale, out=w[rows, n // 2 :])

@@ -437,6 +437,24 @@ def _loop_sum(xu, wu, b: float) -> float:
     return live.sum() - wu[k:].sum()
 
 
+def _kernels(bath: BathSpec, ts: np.ndarray, *kernels) -> list[np.ndarray]:
+    """Each of kernels at the times ts.  A time at which one is not finite
+    (omega t, or a weighted term or the sum over the modes, overflows the
+    float range) is refused by name, as the series would carry NaN or inf at
+    it with no error.  numpy's float warnings are off meanwhile, so that a
+    caller who turns warnings into errors gets the same ValueError."""
+    with np.errstate(all="ignore"):
+        values = [np.asarray(kernel(bath, ts)) for kernel in kernels]
+    finite = [np.isfinite(np.ravel(value)) for value in values]
+    bad = np.flatnonzero(~np.logical_and.reduce(finite))
+    if bad.size:
+        i = bad[0]
+        name = next(kernel.__name__ for kernel, ok in zip(kernels, finite) if not ok[i])
+        t = float(np.ravel(ts)[i])
+        raise ValueError(f"times: the {name} kernel is not finite at t = {t!r}")
+    return values
+
+
 def entropy_series(rho0: DensityMatrixGrid, times, f: CouplingFunction, bath: BathSpec, side: str) -> np.ndarray:
     """Linear entropy S(t) = 1 - sum w exp(-x b2(t)) over the state's
     support field.
@@ -447,12 +465,13 @@ def entropy_series(rho0: DensityMatrixGrid, times, f: CouplingFunction, bath: Ba
     time with 0 < b2 <= _HEAD_LIMIT the head blocks x b2 <= _HEAD_Y and each
     live block are summed from their moments, and each dead block adds minus
     its weight (module docstring).  Fills the rate memo
-    (``support_integral``) on the way.
+    (``support_integral``) on the way.  A time at which b2 is not finite is
+    refused with a ValueError that opens with ``times:``.
     """
     w, x, defect = support_field(rho0, f, side)
     support_integral(rho0, f, side, (w, x))
     xu, wu = _merged(w, x)
-    b2s = np.atleast_1d(np.asarray(b2(bath, np.asarray(times, dtype=float))))
+    (b2s,) = _kernels(bath, np.atleast_1d(np.asarray(times, dtype=float)), b2)
     # a NaN exponent sorts last; expm1 would carry it into every time
     if xu.size and np.isnan(xu[-1]):
         return np.full(b2s.shape, np.nan)
@@ -518,12 +537,11 @@ def compute_series(
     probe: tuple[float, float],
 ) -> DecoherenceSeries:
     """Evaluate kernels, probe factors, decay exponents and entropies on a
-    time grid."""
+    time grid.  A time at which b1, b2 or b2_dot is not finite is refused
+    with a ValueError that opens with ``times:``."""
     ts = np.asarray(times, dtype=float)
     q1, q2 = probe
-    b1s = np.asarray(b1(bath, ts))
-    b2s = np.asarray(b2(bath, ts))
-    b2ds = np.asarray(b2_dot(bath, ts))
+    b1s, b2s, b2ds = _kernels(bath, ts, b1, b2, b2_dot)
     columns = {}
     for side, c in (("classical", "c"), ("quantum", "q")):
         decay, drive = _coefficients(q1, q2, f, side)

@@ -1,5 +1,6 @@
 import math
 import multiprocessing
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -318,6 +319,61 @@ def test_sampling_follows_the_substream_contract(n_modes, start, count, workers)
         assert theta[j].tobytes() == _projection_reference(bath, 3, start, count, cq, cp).tobytes()
     row = _with_workers(workers, thermal_sample_block, bath, 3, start, count, (coefs[0, 1], coefs[1, 1]))
     assert row.tobytes() == theta[1].tobytes()
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 3, 50, 64, 65, 1024, 8192, 20_000])
+def test_chunk_rule(n_modes):
+    # a power of two from 4 to 4096, so it divides the substream and keeps
+    # each row's offset mod 4; the largest whose normals fit in 512 KiB
+    rows = bath_module._chunk_rows(n_modes)
+    assert rows & (rows - 1) == 0 and 4 <= rows <= STREAM
+    row_bytes = 2 * n_modes * 8
+    assert rows == 4 or rows * row_bytes <= 512 * 1024
+    assert rows == STREAM or 2 * rows * row_bytes > 512 * 1024
+
+
+@pytest.mark.parametrize(
+    "n_modes,start,count",
+    [
+        (130, 100, 300),  # 128-row chunks: ends inside the first and third
+        (130, 4000, 500),  # across the substream edge
+        (520, 31, 2),  # 32-row chunks: both ends inside one
+        (520, 64, 4032),  # from a chunk edge to the substream's end
+    ],
+)
+def test_chunked_projection_keeps_the_substream_bytes(n_modes, start, count):
+    bath = discretize_ohmic(0.5, 1.0, n_modes, 3.0, beta=1.0)
+    assert bath_module._chunk_rows(n_modes) < STREAM
+    cq, cp = np.random.default_rng(n_modes).standard_normal((2, n_modes))
+    expected = _projection_reference(bath, 5, start, count, cq, cp)
+    for workers in (1, 2):
+        theta = _with_workers(workers, thermal_sample_block, bath, 5, start, count, (cq, cp))
+        assert theta.tobytes() == expected.tobytes()
+
+
+# tracemalloc peaks of one call, measured with numpy 2.4.6 on a 2-core Xeon
+# at 2 workers: 1.56 MiB at 50 modes and 100k samples, and 1.09 MiB at the
+# command line's 1024-mode cap and 8192 samples; 7.09 and 128.1 MiB when
+# each worker held a whole 4096-row substream.  Besides theta and one chunk
+# of at most 512 KiB a worker, the coefficients, each chunk's products and
+# the pool's bookkeeping take the slack (25 KB measured at the cap).
+SAMPLER_SLACK = 64 * 1024
+
+
+@pytest.mark.parametrize("n_modes,count", [(50, 100_000), (1024, 8192)])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sampler_holds_one_chunk_a_worker(n_modes, count, workers):
+    bath = discretize_ohmic(0.25, 1.0, n_modes, 5.0, beta=2.0)
+    project = tuple(np.random.default_rng(n_modes).standard_normal((2, n_modes)))
+    # a first call builds the pool
+    _with_workers(workers, thermal_sample_block, bath, 3, 0, count, project)
+    tracemalloc.start()
+    try:
+        theta = _with_workers(workers, thermal_sample_block, bath, 3, 0, count, project)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= theta.nbytes + workers * 512 * 1024 + SAMPLER_SLACK, peak
 
 
 def _mc_50_modes(seed=11):

@@ -556,6 +556,20 @@ def test_kernel_overflow_is_blamed_on_the_bath_mode(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_library_kernel_refusal_exits_2(tmp_path, capsys, monkeypatch):
+    # the heavy mode with the CLI's own phase check off: the library refuses
+    # the first time at which b1 overflows, and the run maps it to t_max
+    monkeypatch.setattr(cli, "_check_phase", lambda *args: None)
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps(preset_config("linear") | {"bath": {"modes": [HEAVY_MODE]}}))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    head = "config error: time.t_max: the b1 kernel is not finite at t = "
+    assert err.startswith(head)
+    assert 2.4 < float(err[len(head) :]) < 2.6
+    assert not (tmp_path / "out").exists()
+
+
 def test_seed_option_outside_its_range_exits_2(tmp_path, capsys):
     path = tmp_path / "ok.json"
     path.write_text(json.dumps(small_config()))

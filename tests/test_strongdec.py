@@ -273,3 +273,23 @@ def test_series_columns_equal_the_point_functions(name):
         }
         for column, values in expected.items():
             assert getattr(series, f"{column}_{c}").tobytes() == np.array(values).tobytes(), f"{column}_{c}"
+
+
+def test_series_refuse_the_first_time_at_which_a_kernel_overflows():
+    # omega t = 1e310 overflows, so sin and cos give NaN: once both series
+    # wrote NaN columns there with no error.  The suite turns warnings into
+    # errors and the run raises on overflow; neither may preempt the refusal.
+    bath = BathSpec([1.0], [1e300], [1e150])
+    rho = build_density_matrix(SuperpositionState.symmetric_cat(4.0, 0.5))
+    times = [0.0, 1e-300, 1e10, 1e20]
+    message = r"^times: the {} kernel is not finite at t = 10000000000\.0$"
+    for errstate in ({}, {"over": "raise", "invalid": "raise"}):
+        with np.errstate(**errstate):
+            with pytest.raises(ValueError, match=message.format("b1")):
+                compute_series(rho, CUBIC, bath, times, (1.0, -1.0))
+            for side in ("classical", "quantum"):
+                with pytest.raises(ValueError, match=message.format("b2")):
+                    entropy_series(rho, times, CUBIC, bath, side)
+    # the times before it are finite and give the same series as before
+    series = compute_series(rho, CUBIC, bath, times[:2], (1.0, -1.0))
+    assert np.all(np.isfinite(series.b1)) and np.all(np.isfinite(series.s_c))

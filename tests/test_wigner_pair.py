@@ -4,10 +4,11 @@
 antidiagonals and takes one Hermitian FFT; ``inverse_wigner`` takes one
 zero-padded real FFT per row, whose even bins are the even sublattice and
 whose odd bins, shifted half a step in midpoint, are the odd sublattice,
-and mirrors the i1 >= i2 half by conjugation.  The forward moves its cells
-one matrix diagonal at a time; the inverse reads each cell of rho straight
-from the padded FFT buffer, a strip of rows at a time.  The same FFTs with
-the flat index arrays of ``half_lattice`` instead must give the same bytes.
+and mirrors the i1 >= i2 half by conjugation.  The forward forms the lag
+products of each block of rows in its pool task; the inverse reads each
+cell of rho straight from the padded FFT buffer, a strip of rows at a
+time.  The same FFTs with the flat index arrays of ``half_lattice``
+instead must give the same bytes.
 The reference below is an earlier path, kept as it was: a twiddled
 full-length DFT, a per-column gather loop and a 2n x 2n zero-padded
 upsample read at its odd-odd nodes.
@@ -472,13 +473,20 @@ def test_wigner_mass_is_the_trapezoid_rule():
 # bytes, measured with numpy 2.4.6 on a 2-core Xeon: 33,647,216 forward
 # and 33,719,984 inverse on whole arrays (32.1 and 32.2 MiB), and 18,136,352
 # and 33,605,712 with the pooled stages (a few hundred bytes vary from run
-# to run).  The forward holds the gathered lattice, W and one FFT block per
+# to run).  The forward held the gathered lattice, W and one FFT block per
 # worker; the inverse peaks where the padded FFT buffer and rho are held.
 # Its strips write rho by copies and one contiguous conjugate each, which
 # need no iterator buffer, and hold no buffer of their own, so that peak
 # does not grow with the worker count (33,606,872 with a pool of 4).
 FORWARD_PEAK = 33_647_216
 INVERSE_PEAK = 33_719_984
+# With the lag products formed per block, the forward holds W (8 MiB) and,
+# a worker, one block of them (64 x 513 complex), its FFT (64 x 1024 floats)
+# and the FFT's scratch: 9,645,115 bytes at one worker and 10,888,035 at
+# two (1.26 MB a worker), against 17,452,928 and 18,136,688 with the whole
+# gathered lattice.  The padded psi and the grids take the fixed part.
+FORWARD_FIXED = 64 * 1024
+FORWARD_PER_WORKER = 1280 * 1024
 
 
 def test_pair_peak_memory_is_no_higher_than_on_whole_arrays():
@@ -495,3 +503,25 @@ def test_pair_peak_memory_is_no_higher_than_on_whole_arrays():
             tracemalloc.stop()
         del out
         assert peak <= bound, (transform.__name__, peak)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_forward_holds_one_block_of_lag_products_a_worker(monkeypatch, workers):
+    rho = build_density_matrix(SuperpositionState.symmetric_cat(30.0, 0.5))
+    assert rho.grid.n_points == 1024
+    # a pool of exactly this many threads, whatever an earlier test built
+    monkeypatch.setattr(_pool, "WORKERS", workers)
+    monkeypatch.setattr(_pool, "_pool", None)
+    monkeypatch.setattr(_pool, "_pool_pid", None)
+    try:
+        wigner_transform(rho)
+        tracemalloc.start()
+        try:
+            out = wigner_transform(rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    finally:
+        if _pool._pool is not None:
+            _pool._pool.shutdown()
+    assert peak <= out.values.nbytes + FORWARD_FIXED + workers * FORWARD_PER_WORKER, peak
