@@ -1,17 +1,18 @@
 """Model configuration and the system-bath coupling function f(Q).
 
 The system couples to every bath mode through a single position-dependent
-function f(Q).  Three evaluation modes of f drive everything downstream:
+function f(Q).  Two evaluation modes of f drive everything downstream:
 
-* ``eval``              -- f(Q) itself,
-* ``slope``             -- df/dQ, which enters the classical decay exponents,
-* ``finite_difference`` -- [f(Qbar + dQ/2) - f(Qbar - dQ/2)] / dQ, the
-  two-point difference quotient that enters the quantum decay exponents.
+* ``eval``  -- f(Q) itself,
+* ``slope`` -- df/dQ, the weight g of the classical decay exponents.
 
-For f = a*Q + b*Q**2 the difference quotient equals the derivative for every
-(Qbar, dQ), so linear/quadratic couplings produce identical classical and
-quantum decoherence dynamics.  All differences between the two descriptions
-come from couplings where slope and finite_difference disagree.
+The quantum weight is the difference quotient g = [f(Q1) - f(Q2)]/(Q1 - Q2);
+it always enters multiplied by Q1 - Q2, so the code forms it as
+f(Q1) - f(Q2), from ``eval`` alone.  For f = a*Q + b*Q**2 the quotient
+equals f'(Qbar) for every pair, so linear/quadratic couplings produce
+identical classical and quantum decoherence dynamics.  All differences
+between the two descriptions come from couplings where the slope and the
+quotient disagree.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ def _wrap(values: np.ndarray, scalar: bool):
 class CouplingFunction:
     """Base class for coupling functions; subclasses define values/derivative.
 
-    All evaluation methods accept scalars or arrays and broadcast.
+    Both evaluation methods accept scalars or arrays.
     Instances are immutable and safe to share across workers.
     """
 
@@ -77,27 +78,6 @@ class CouplingFunction:
         """df/dQ at Qbar (analytic for parametric variants)."""
         arr = np.asarray(qbar, dtype=float)
         return _wrap(self._derivative(arr), arr.ndim == 0)
-
-    def finite_difference(self, qbar, dq):
-        """[f(Qbar + dQ/2) - f(Qbar - dQ/2)] / dQ.
-
-        dQ = 0 returns slope(Qbar), the continuous limit, which keeps the
-        quantum factor of a diagonal element defined: today only a probe
-        at q1 = q2 meets it, as the support field differences f on the
-        lattice and never divides.  The slope is evaluated at those entries
-        alone.
-        """
-        qb = np.asarray(qbar, dtype=float)
-        d = np.asarray(dq, dtype=float)
-        scalar = qb.ndim == 0 and d.ndim == 0
-        qb, d = np.broadcast_arrays(qb, d)
-        diff = self._values(qb + 0.5 * d) - self._values(qb - 0.5 * d)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.asarray(diff / d)
-        zero = d == 0.0
-        if zero.any():
-            out[zero] = self._derivative(qb[zero])
-        return _wrap(out, scalar)
 
 
 @dataclass(frozen=True)

@@ -28,21 +28,24 @@ The entropy quadrature runs on the mirror-paired support of rho0,
 x = 2 (Q1-Q2)^2 g^2 is exactly symmetric under Q1 <-> Q2 and zero on the
 diagonal, so each cell above the diagonal carries the summed weight of
 itself and its mirror.  The support drops at most 1e-17 of weight, and
-since |expm1(-x b2)| <= 1 that bounds the change in S(t).  For a polynomial
-of degree <= 2 the difference quotient is f'(Qbar) exactly, so the quantum
-side takes the slope (``_takes_slope``) and the entropy is evaluated once.
+since |expm1(-x b2)| <= 1 that bounds the change in S(t).
 
-Each pair is a lattice point (i, j), i < j, of the grid q, so
-``support_field`` reads the coupling from a table over the hull [lo, hi] of
-the support (the smallest and largest index any pair uses), by gathers:
+One rule gives r = (Q1-Q2) g of a pair, and from it x = 2 r^2, the decay
+r^2 and the drive f(Qbar) r: where g is the slope (``_takes_slope``: the
+classical side, and both sides for a polynomial of degree <= 2, whose
+quotient is f'(Qbar) exactly, so the entropy is evaluated once),
+r = (Q1-Q2) f'(Qbar); on the quantum side r = f(Q1) - f(Q2), with no
+division and no dQ = 0 case.  ``_coefficients`` takes it at one pair, for
+the point factors, ``gamma`` and the probe columns.  Each pair of the
+support is a lattice point (i, j), i < j, of the grid q, so
+``support_field`` takes it from a table over the hull [lo, hi] of the
+support (the smallest and largest index any pair uses), by gathers:
 
-* where g is the slope (the classical side, and both sides when
-  ``quotient_is_slope``), x = 2 ((j - i) h)^2 f'(qbar[i + j])^2, with
+* where g is the slope, x = 2 ((j - i) h)^2 f'(qbar[i + j])^2, with
   qbar[s] = (q[floor(s/2)] + q[ceil(s/2)])/2 read at the 2 (hi - lo) + 1
   midpoints and 2 (k h)^2 at the hi - lo + 1 offsets k;
 * on the quantum side x = 2 (F[i] - F[j])^2, with F = f(q) read at the
-  hi - lo + 1 points: (Q1 - Q2) g is f(Q1) - f(Q2) itself, with no division
-  and no dQ = 0 case.
+  hi - lo + 1 points.
 
 The tables are elementwise and each pair is a gather, with no BLAS and no
 thread, so x has the same bytes at any core count.
@@ -69,9 +72,11 @@ the first term 4.6e-13 of r at the presets' M/h <= 512.  As
 |expm1(-a) - expm1(-b)| <= |a - b| for a, b >= 0, S(t) moves by at most
 b2 sum w |dx| and the rate integral by sum w |dx|, with
 |dx| <= 2 (2r + |dr|) |dr|.  On the presets every pair moved by at most 0.3
-of its bound, S by at most 4.4e-16 and the rates by 1.1e-15 relative; a
-table is read on no point outside the hull, and the probe columns keep
-their bytes (``_coefficients`` evaluates its element per point, as before).
+of its bound, S by at most 4.4e-16 and the rates by 1.1e-15 relative, and
+a table is read on no point outside the hull.  A probe at lattice points
+has 2 r^2 = x on the quantum side, byte for byte where f gives a scalar the
+bytes it gives an array, and where g is the slope its r is the per-pair
+formula, within the bound.
 
 ``entropy_series`` merges pairs of equal x once per side: ``np.unique``
 sorts the distinct x and ``np.bincount`` adds each one's weights in index
@@ -231,23 +236,13 @@ def _takes_slope(f: CouplingFunction, side: str) -> bool:
     return side == "classical" or quotient_is_slope(f)
 
 
-def _decay(f: CouplingFunction, qbar, dq, side: str):
-    """(g, (Q1-Q2)^2 g^2): the weight and the decay coefficient of
-    log_modulus = -(Q1-Q2)^2 g^2 b2."""
-    if _takes_slope(f, side):
-        g = f.slope(qbar)
-    else:
-        g = f.finite_difference(qbar, dq)
-    return g, dq**2 * g**2
-
-
 def _coefficients(q1, q2, f: CouplingFunction, side: str):
-    """(decay, drive) = ((Q1-Q2)^2 g^2, (Q1-Q2) f(Qbar) g), the kernel
-    coefficients of log_modulus = -decay*b2 and phase = drive*b1/hbar."""
-    dq = q1 - q2
+    """(decay, drive) = (r^2, f(Qbar) r) with r = (Q1-Q2) g (module
+    docstring), the kernel coefficients of log_modulus = -decay*b2 and
+    phase = drive*b1/hbar."""
     qbar = 0.5 * (q1 + q2)
-    g, decay = _decay(f, qbar, dq, side)
-    return decay, dq * f.eval(qbar) * g
+    r = (q1 - q2) * f.slope(qbar) if _takes_slope(f, side) else f.eval(q1) - f.eval(q2)
+    return r * r, f.eval(qbar) * r
 
 
 def _factor(q1: float, q2: float, t: float, f: CouplingFunction, bath: BathSpec, side: str) -> DecoherenceFactor:

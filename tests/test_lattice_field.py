@@ -69,6 +69,16 @@ def states_and_couplings(draw):
     return rho0, TabulatedCoupling(knots, draw(st.floats(0.2, 1.0)) * knots + np.asarray(bumps))
 
 
+def where_quotient(f, qbar, dq):
+    """In-test copy of the two-point difference quotient
+    [f(qbar + dq/2) - f(qbar - dq/2)] / dq, with the slope where dq = 0."""
+    qb, d = np.broadcast_arrays(np.asarray(qbar, dtype=float), np.asarray(dq, dtype=float))
+    diff = f._values(qb + 0.5 * d) - f._values(qb - 0.5 * d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = diff / d
+    return np.where(d == 0.0, f._derivative(qb), out)
+
+
 def per_pair_field(rho0, f, side):
     """The exponent as each pair took it before the lattice tables:
     2 dq^2 g(qbar)^2 from dq = q_i - q_j and qbar = (q_i + q_j)/2, g the
@@ -80,8 +90,8 @@ def per_pair_field(rho0, f, side):
     dq, qbar = q[i] - q[j], 0.5 * (q[i] + q[j])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(TabulatedCoupling, "_check_range", lambda self, q: None)
-        _, decay = strongdec._decay(f, qbar, dq, side)
-    return 2.0 * decay
+        g = f.slope(qbar) if strongdec._takes_slope(f, side) else where_quotient(f, qbar, dq)
+    return 2.0 * dq**2 * g**2
 
 
 def _spline_scales(spline):
@@ -156,6 +166,27 @@ def test_lattice_field_matches_the_per_pair_formula(case):
         fields[side] = x
     if strongdec.quotient_is_slope(f):
         assert fields["classical"].tobytes() == fields["quantum"].tobytes()
+
+
+@given(case=states_and_couplings())
+def test_probe_rule_matches_the_field(case):
+    # the point rule of the factors and the probe columns, taken at lattice
+    # pairs of the support, gives the field's exponent: the same bytes on
+    # the quantum side, where both difference the same values of f, and
+    # within the field's stated bound where g is the slope
+    rho0, f = case
+    i, j, _, _ = rho0.support()
+    q = rho0.grid.q
+    pick = np.unique(np.linspace(0, i.size - 1, 256).astype(int))
+    for side in SIDES:
+        x = support_field(rho0, f, side)[1]
+        probe = np.array([2.0 * strongdec._coefficients(q[a], q[b], f, side)[0] for a, b in zip(i[pick], j[pick])])
+        if strongdec._takes_slope(f, side):
+            r, point = np.sqrt(0.5 * x), np.sqrt(0.5 * probe)
+            bound = field_bound(rho0, f, side, r)[pick]
+            assert np.all(np.abs(r[pick] - point) <= bound + U * (r[pick] + point))
+        else:
+            assert probe.tobytes() == x[pick].tobytes()
 
 
 def test_a_diagonal_matrix_has_an_empty_field():

@@ -7,7 +7,8 @@ from decodyn import oracle
 from decodyn.bath import BathSpec, b2, discretize_ohmic, thermal_sample_block
 from decodyn.model import LinearCoupling, PolynomialCoupling, QuadraticCoupling
 from decodyn.oracle import FockConfig, McEstimate, fock_quantum_factor, mc_classical_factor, short_time_fit
-from decodyn.strongdec import classical_factor, quantum_factor
+from decodyn.states import GridSpec, SuperpositionState, build_density_matrix
+from decodyn.strongdec import classical_factor, compute_series, quantum_factor
 
 SINGLE = BathSpec([1.0], [1.0], [1.0])
 CUBIC = PolynomialCoupling((0.0, 0.0, 0.0, 1.0))
@@ -142,7 +143,7 @@ def test_fock_modulus_matches_decay_kernel():
     overlaps = fock_quantum_factor(1.0, -1.0, ts, LinearCoupling(1.0), SINGLE)
     f = LinearCoupling(1.0)
     for t, overlap in zip(ts, overlaps):
-        fd = f.finite_difference(0.0, 2.0)
+        fd = (f.eval(1.0) - f.eval(-1.0)) / 2.0
         expected = math.exp(-4.0 * fd**2 * b2(SINGLE, float(t)))
         assert abs(overlap) == pytest.approx(expected, abs=1e-10)
     assert abs(overlaps[-1]) == pytest.approx(1.0, abs=1e-6)  # recurrence
@@ -153,7 +154,7 @@ def test_fock_modulus_for_quadratic_coupling():
     f = QuadraticCoupling(1.0, 0.3)
     for t in (0.6, 1.4, 2.9):
         overlap = fock_quantum_factor(1.0, -1.0, t, f, SINGLE)
-        fd = f.finite_difference(0.0, 2.0)
+        fd = (f.eval(1.0) - f.eval(-1.0)) / 2.0
         expected = math.exp(-4.0 * fd**2 * b2(SINGLE, t))
         assert abs(overlap) == pytest.approx(expected, rel=1e-9)
 
@@ -216,12 +217,18 @@ def test_fock_kernel_matches_the_einsum_trace(n_levels, beta, f):
 
 
 def test_fock_phase_matches_drift_kernel_for_linear_coupling():
-    # for f = Q the implemented quantum phase and the branch overlap agree
-    for t in (0.7, 1.9):
-        overlap = fock_quantum_factor(2.0, 0.0, t, LinearCoupling(1.0), SINGLE)
-        fac = quantum_factor(2.0, 0.0, t, LinearCoupling(1.0), SINGLE)
-        diff = np.angle(overlap * np.exp(-1j * fac.phase))
-        assert abs(diff) < 1e-8
+    # for f = Q the implemented quantum phase, the series' phase_q column at
+    # the same probe and the branch overlap agree; the phase carries 1/hbar
+    f = LinearCoupling(1.0)
+    ts = (0.7, 1.9)
+    rho0 = build_density_matrix(SuperpositionState.symmetric_cat(2.0, 0.4), grid=GridSpec(-6.0, 6.0, 96))
+    for hbar in (1.0, 2.0):
+        bath = BathSpec([1.0], [1.0], [1.0], hbar=hbar)
+        series = compute_series(rho0, f, bath, ts, (2.0, 0.0))
+        for t, phase_q in zip(ts, series.phase_q):
+            overlap = fock_quantum_factor(2.0, 0.0, t, f, bath)
+            for phase in (quantum_factor(2.0, 0.0, t, f, bath).phase, phase_q):
+                assert abs(np.angle(overlap * np.exp(-1j * phase))) < 1e-8
 
 
 def test_short_time_fit_recovers_exact_quadratic():
