@@ -80,6 +80,18 @@ def test_finite_difference_matched_sinusoid_vanishes():
     assert math.sqrt(decay) < 1e-14
 
 
+def test_finite_difference_zero_dq_returns_slope():
+    # r = (Q1 - Q2) g: at Q1 == Q2 it is 0 on both sides, and at Q1 - Q2 = 1
+    # the classical r is the slope f'(Qbar) itself
+    f = SinusoidalCoupling(2.0, 3.0, 0.1)
+    for side in ("classical", "quantum"):
+        assert _coefficients(0.75, 0.75, f, side) == (0.0, 0.0)
+    assert _coefficients(1.25, 0.25, f, "classical") == (f.slope(0.75) ** 2, f.eval(0.75) * f.slope(0.75))
+    decay, drive = _coefficients(np.array([0.75, 1.25]), np.array([0.75, 0.25]), f, "classical")
+    assert decay[0] == 0.0 and drive[0] == 0.0
+    assert decay[1] == pytest.approx(f.slope(0.75) ** 2, rel=1e-15)
+
+
 def test_finite_difference_converges_quadratically():
     f = SinusoidalCoupling(1.0, 3.0, 0.3)
     qbar = 0.9
