@@ -84,7 +84,9 @@ class Scenario:
 # _MAX_LIST_ENTRIES.  The entropy and rate quadratures run over a state's
 # support pairs (DensityMatrixGrid.support()), which grow as m^2 in its m
 # support cells: the state's pairs are counted from psi before any is built,
-# at most _MAX_PAIRS (memory), and times n_steps at most _MAX_PAIR_TIMES (the
+# at most _MAX_PAIRS (memory: the support holds 16 bytes a pair and the
+# entropy series peaks within strongdec._SERIES_PAIR_BYTES, 44, so about
+# 0.74 GB at the cap), and times n_steps at most _MAX_PAIR_TIMES (the
 # entropy series' worst case, one expm1 per pair and time, which it reaches
 # only at b2 > 1e14); a separation-scan cat stays far below _MAX_PAIRS (see
 # _check_pairs).

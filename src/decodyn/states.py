@@ -240,8 +240,10 @@ class DensityMatrixGrid:
         sum(h^2 |rho|^2) - 1 of the full grid.  Pairs whose summed weight is
         below 1e-17/n^2 are dropped, 1e-17 of weight in total.  A pure state
         pairs the 1-D support of a = h |psi|^2, since h^2 |rho|^2 =
-        a(Q1) a(Q2): the same pairs, without an n x n array.  Built once:
-        every call returns the same read-only arrays.
+        a(Q1) a(Q2): the same pairs, without an n x n array, written block
+        by block into arrays of the exact size ``pair_count()`` gives, so
+        the support holds 16 bytes a pair and its build little more.  Built
+        once: every call returns the same read-only arrays.
         """
         return self._support
 
@@ -298,23 +300,30 @@ def _pure_pairs(psi: np.ndarray, h: float, cut: float):
     at least cut, in row-major order, as int32 lattice indices with their
     weights, and the defect (sum a)^2 - 1.  Only the candidate cells of
     _pure_cells can be in a pair, so the rows are taken over those cells
-    alone, _PAIR_ROWS at a time, from the diagonal on."""
+    alone, _PAIR_ROWS at a time, from the diagonal on, each block written
+    into arrays of the exact size _pure_pair_count gives."""
     a, cells = _pure_cells(psi, h, cut)
     total = float(np.sum(a))
     b = a[cells]
     cells = cells.astype(np.int32)
+    size = _pure_pair_count(psi, h, cut)
+    i, j, w = np.empty(size, dtype=np.int32), np.empty(size, dtype=np.int32), np.empty(size)
     # right of the diagonal within a block's first _PAIR_ROWS columns
     right = ~np.tri(_PAIR_ROWS, dtype=bool)
-    i, j, w = [], [], []
+    end = 0
     for r in range(0, b.size, _PAIR_ROWS):
         k = min(_PAIR_ROWS, b.size - r)
         prod = 2.0 * b[r : r + k, None] * b[None, r:]
         keep = prod >= cut
         keep[:, :k] &= right[:k, :k]
-        i.append(np.repeat(cells[r : r + k], np.count_nonzero(keep, axis=1)))
-        j.append(np.broadcast_to(cells[r:], keep.shape)[keep])
-        w.append(prod[keep])
-    return np.concatenate(i), np.concatenate(j), np.concatenate(w), total * total - 1.0
+        counts = np.count_nonzero(keep, axis=1)
+        start, end = end, end + int(counts.sum())
+        i[start:end] = np.repeat(cells[r : r + k], counts)
+        j[start:end] = np.broadcast_to(cells[r:], keep.shape)[keep]
+        w[start:end] = prod[keep]
+    if end != size:
+        raise RuntimeError(f"the pairing kept {end} pairs where the count gave {size}")
+    return i, j, w, total * total - 1.0
 
 
 def _pure_pair_count(psi: np.ndarray, h: float, cut: float) -> int:

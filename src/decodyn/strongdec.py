@@ -78,13 +78,18 @@ has 2 r^2 = x on the quantum side, byte for byte where f gives a scalar the
 bytes it gives an array, and where g is the slope its r is the per-pair
 formula, within the bound.
 
-``entropy_series`` merges pairs of equal x once per side: ``np.unique``
-sorts the distinct x and ``np.bincount`` adds each one's weights in index
-order, whatever order the sort leaves them in, so the bytes do not depend
-on the sort; a linear coupling has one distinct x per lattice offset, a
-few hundred among 1e5 pairs, and all NaN exponents merge into one last
-entry.  Once per call, and from the field alone, the sorted exponents split
-into anchored blocks: a block ends at every 256th exponent, so each head
+``entropy_series`` merges pairs of equal x once per side, with no
+``np.unique``: ``_merged`` puts its own x in sorted order in place, through
+its argsort, and where two exponents are equal it scatters each pair's
+group id back to index order and adds each group's weights in index order
+(``np.add.at`` through those ids, in chunks, each weight one addition),
+whatever order the sort leaves them in, so the bytes do not depend on the
+sort; a linear coupling has one distinct x per lattice offset, a few
+hundred among 1e5 pairs, and all NaN exponents merge into one last entry.
+The field, the merge and the moment sums work in chunks of at most 2^14
+pairs or exponents, so a call peaks within ``_SERIES_PAIR_BYTES`` a pair.
+Once per call, and from the field alone, the sorted exponents split into
+anchored blocks: a block ends at every 256th exponent, so each head
 below ends where a block starts, and at every bin of ratio 1 + 1/41, so its
 span is at most 1/40 of its first exponent c; an exponent past 1e14 is a
 block of its own.  Each time takes one of four cases, from what it can
@@ -209,6 +214,16 @@ _PER_LOG = 1.0 / np.log1p(1.0 / 41.0)
 _FACTORIALS = np.cumprod(np.arange(1.0, _HEAD_TERMS + 1))
 # (time, block) pairs per pass of the block sums
 _PAIR_CHUNK = 1 << 13
+# pairs per pass of the field's gathers and of the merge's group ids, and
+# exponents per run of the moment sums: chunk-local working memory
+_CHUNK = 1 << 14
+# The peak of one entropy_series call on a pure state, its pairing included,
+# in bytes a pair of a field of 2.5e5 pairs or more: 41 at the merge (the
+# support's i, j and w take 16, x 8, its argsort 8, the group flags 1, and
+# the sorted weights or the group ids 8), and the rest for the working
+# chunks above, about 0.4 MB in all.  rate_pair peaks at 32 (support, x and
+# w x).
+_SERIES_PAIR_BYTES = 44
 
 
 @dataclass(frozen=True)
@@ -292,16 +307,24 @@ def support_field(rho0: DensityMatrixGrid, f: CouplingFunction, side: str):
         ds = np.arange(hi - lo + 1) * rho0.grid.spacing
         ds *= ds
         ds *= 2.0
-        x = ds[j - i]
-        x *= gs[i + j]
     else:
         # x = 2 (f(q_i) - f(q_j))^2
         fs = np.zeros(hi + 1)
         fs[lo:] = f.eval(q[lo : hi + 1])
-        x = fs[i]
-        x -= fs[j]
-        x *= x
-        x *= 2.0
+    # one array for x, written _CHUNK pairs at a time, so the gathers'
+    # indices and values are held for one chunk only
+    x = np.empty(i.size)
+    for a in range(0, i.size, _CHUNK):
+        c = slice(a, a + _CHUNK)
+        xc = x[c]
+        if slope:
+            np.take(ds, j[c] - i[c], out=xc)
+            xc *= gs.take(i[c] + j[c])
+        else:
+            np.take(fs, i[c], out=xc)
+            xc -= fs.take(j[c])
+            xc *= xc
+            xc *= 2.0
     return w, x, defect
 
 
@@ -327,22 +350,61 @@ def support_integral(rho0: DensityMatrixGrid, f: CouplingFunction, side: str, fi
 
 def _merged(w, x):
     """The distinct exponents of x in ascending order (NaN last, all NaNs one
-    entry), each with the weights of its pairs added in index order."""
-    xu, inv = np.unique(x, return_inverse=True)
-    return xu, np.bincount(inv, weights=w)
+    entry), each with the weights of its pairs added in index order.
+
+    Consumes x: it is put in sorted order in place (a gather through its
+    argsort, cheaper than a second sort), and returned as the exponents when
+    no two are equal.  Otherwise each pair's group is scattered back to index
+    order and the weights are added to their groups in index order, whatever
+    order the sort leaves them in, both _CHUNK pairs at a time:
+    np.add.at adds one weight at a time, so its chunks give the bytes of one
+    pass (np.bincount's, which copies a read-only w whole).
+    """
+    order = np.argsort(x)
+    x[:] = x.take(order)
+    first = np.empty(x.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(x[1:], x[:-1], out=first[1:])
+    # NaN != NaN: every NaN after the first joins its group
+    first[np.searchsorted(x, np.nan) + 1 :] = False
+    if first.all():
+        return x, w.take(order)
+    groups = np.empty(x.size, dtype=np.intp)
+    total = 0
+    for a in range(0, x.size, _CHUNK):
+        c = slice(a, a + _CHUNK)
+        ids = np.cumsum(first[c])
+        ids += total - 1
+        total = int(ids[-1]) + 1
+        groups[order[c]] = ids
+    del order
+    wu = np.zeros(total)
+    for a in range(0, x.size, _CHUNK):
+        np.add.at(wu, groups[a : a + _CHUNK], w[a : a + _CHUNK])
+    del groups
+    return x[first], wu
 
 
-def _moments(d, w, starts) -> np.ndarray:
-    """Row j holds sum w d^(j+1)/(j+1)! over each block of d, block k from
-    starts[k] to the next start or the end; each column depends on its block
-    alone."""
-    p = w.copy()
-    table = np.empty((_HEAD_TERMS, starts.size))
-    for j in range(_HEAD_TERMS):
-        p *= d  # w d^(j+1)
-        # each block's sum, in an order fixed by the block alone
-        np.add.reduceat(p, starts, out=table[j])
-        table[j] /= _FACTORIALS[j]
+def _moments(x, w, starts, anchored=False) -> np.ndarray:
+    """Row j holds sum w d^(j+1)/(j+1)! over each block of x, block k from
+    starts[k] to starts[k + 1], with d = x, or d = x - x[starts[k]] when
+    anchored.  Formed over runs of whole blocks, each starting within one
+    span of _CHUNK exponents, so d and its powers are held for one
+    run only; each column depends on its block alone."""
+    table = np.empty((_HEAD_TERMS, starts.size - 1))
+    runs = np.flatnonzero(np.diff(starts[:-1] // _CHUNK, prepend=-1))
+    for k0, k1 in zip(runs, [*runs[1:], starts.size - 1]):
+        a, b = starts[k0], starts[k1]
+        d = x[a:b]
+        if anchored:
+            # exact: within a block c <= x <= 2c (Sterbenz)
+            d = d - np.repeat(x[starts[k0:k1]], np.diff(starts[k0 : k1 + 1]))
+        p = w[a:b].copy()
+        for j in range(_HEAD_TERMS):
+            p *= d  # w d^(j+1)
+            # each block's sum, in an order fixed by the block alone
+            np.add.reduceat(p, starts[k0:k1] - a, out=table[j, k0:k1])
+    table /= _FACTORIALS[:, None]
     return table
 
 
@@ -367,7 +429,9 @@ def _blocks(xu) -> np.ndarray:
     """
     end = int(np.searchsorted(xu, _HEAD_LIMIT, side="right"))
     with np.errstate(divide="ignore"):  # log(0) = -inf: a bin of its own
-        bins = np.floor(np.log(xu[:end]) * _PER_LOG)
+        bins = np.log(xu[:end])
+    bins *= _PER_LOG
+    np.floor(bins, out=bins)
     first = np.ones(xu.size + 1, dtype=bool)
     np.not_equal(bins[1:], bins[:-1], out=first[1:end])
     first[::_HEAD_BLOCK] = True
@@ -389,7 +453,7 @@ def _block_sums(xu, wu, b2s):
         end = int(heads.max()) * _HEAD_BLOCK
         # the running sum in extended precision, each entry rounded once: a
         # time reads the same prefix however far the table is built
-        moments = _moments(xu[:end], wu[:end], np.arange(0, end, _HEAD_BLOCK))
+        moments = _moments(xu, wu, np.arange(0, end + 1, _HEAD_BLOCK))
         prefix = np.cumsum(moments, axis=1, dtype=np.longdouble).astype(float)
         sums[on] = _horner(prefix, heads[on] - 1, b2s[on])
     # every head ends where a block starts
@@ -402,10 +466,7 @@ def _block_sums(xu, wu, b2s):
     if counts.any():
         first, last = int(lo[counts > 0].min()), int(hi[counts > 0].max())
         anchors, weights = xu[starts[first:last]], weights[first:last]
-        span = slice(starts[first], starts[last])
-        # exact: within a block c <= x <= 2c (Sterbenz)
-        d = xu[span] - np.repeat(anchors, np.diff(starts[first : last + 1]))
-        moments = _moments(d, wu[span], starts[first:last] - starts[first])
+        moments = _moments(xu, wu, starts[first : last + 1], anchored=True)
         # times in chunks of about _PAIR_CHUNK (time, block) pairs
         offsets = np.cumsum(counts) - counts
         chunks = np.flatnonzero(np.diff(offsets // _PAIR_CHUNK, prepend=-1))
@@ -460,12 +521,15 @@ def entropy_series(rho0: DensityMatrixGrid, times, f: CouplingFunction, bath: Ba
     time with 0 < b2 <= _HEAD_LIMIT the head blocks x b2 <= _HEAD_Y and each
     live block are summed from their moments, and each dead block adds minus
     its weight (module docstring).  Fills the rate memo
-    (``support_integral``) on the way.  A time at which b2 is not finite is
-    refused with a ValueError that opens with ``times:``.
+    (``support_integral``) on the way.  The field's x is this call's own
+    array: ``_merged`` consumes it, sorting it in place, and it is not read
+    again.  A time at which b2 is not finite is refused with a ValueError
+    that opens with ``times:``.
     """
     w, x, defect = support_field(rho0, f, side)
     support_integral(rho0, f, side, (w, x))
     xu, wu = _merged(w, x)
+    del x  # where exponents tie, xu is a new array and x is freed here
     (b2s,) = _kernels(bath, np.atleast_1d(np.asarray(times, dtype=float)), b2)
     # a NaN exponent sorts last; expm1 would carry it into every time
     if xu.size and np.isnan(xu[-1]):

@@ -10,6 +10,7 @@ pure state is paired from its 1-D support; the same matrix given as
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -558,7 +559,7 @@ def test_blocks_change_the_expm1_loop_by_at_most_their_bound(rho0, f, bath, t_ma
     ts = np.linspace(0.0, t_max, 12)
     for side in SIDES:
         w, x, _ = support_field(rho0, f, side)
-        xu, wu = strongdec._merged(w, x)
+        xu, wu = strongdec._merged(w, x.copy())
         # the partition: at most a block of exponents, a span of at most 1/40
         # of the first, and a block start at every head's end
         starts = strongdec._blocks(xu)
@@ -672,7 +673,7 @@ def test_merge_gives_the_stable_merge_bytes(f, side, ties):
     rho0 = build_density_matrix(SuperpositionState.symmetric_cat(8.0, 0.2))
     w, x, _ = support_field(rho0, f, side)
     assert _ties(x) == ties
-    for got, want in zip(strongdec._merged(w, x), index_order_merge(w, x)):
+    for got, want in zip(strongdec._merged(w, x.copy()), index_order_merge(w, x)):
         assert got.tobytes() == want.tobytes()
 
 
@@ -683,8 +684,35 @@ def test_merge_gives_the_stable_merge_bytes(f, side, ties):
 def test_merge_gives_the_stable_merge_bytes_on_any_field(x, seed):
     x = np.asarray(x, dtype=float)
     w = np.random.default_rng(seed).random(x.size)
-    for got, want in zip(strongdec._merged(w, x), index_order_merge(w, x)):
+    for got, want in zip(strongdec._merged(w, x.copy()), index_order_merge(w, x)):
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "f, side, distinct",
+    [
+        (SinusoidalCoupling(1.0, 5.0, 0.3), "classical", 252_880),  # no two exponents equal
+        (PolynomialCoupling((0.0, 0.0, 0.0, 1.0)), "quantum", 190_203),  # mirror pairs tie
+        (LinearCoupling(1.0), "classical", 567),  # one exponent per lattice offset
+    ],
+)
+def test_entropy_series_peaks_within_its_bytes_a_pair(f, side, distinct):
+    # one packet of sigma 1 on [-12, 12] at n = 1024 keeps 252,880 pairs;
+    # the peak counts the pairing, the field, the merge and the block sums
+    state, ts = SuperpositionState.single(1.0), np.linspace(0.0, 3.0, 64)
+    # a first call on a small grid, so no first-call import or cache is traced
+    entropy_series(build_density_matrix(state, grid=GridSpec(-12.0, 12.0, 64)), ts, f, SINGLE, side)
+    rho0 = build_density_matrix(state, grid=GridSpec(-12.0, 12.0, 1024))
+    pairs = rho0.pair_count()
+    tracemalloc.start()
+    try:
+        entropy_series(rho0, ts, f, SINGLE, side)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pairs == 252_880
+    assert np.unique(support_field(rho0, f, side)[1]).size == distinct
+    assert peak <= strongdec._SERIES_PAIR_BYTES * pairs, peak / pairs
 
 
 def pairwise_merge(w, x):
